@@ -35,22 +35,19 @@ def multiplicity_list(text: str) -> MultisetSpec:
     """argparse type: comma-separated non-negative decimal integers."""
     if text == "":
         return MultisetSpec(())
-    parts = text.split(",")
-    for part in parts:
-        if not (part.isascii() and part.isdigit()):
-            raise ValueError(f"bad multiplicity {part!r}")
-    return MultisetSpec(tuple(int(part) for part in parts))
+    return MultisetSpec(tuple(nonnegative_int(part) for part in text.split(",")))
 
 
 def nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be non-negative")
-    return value
+    """argparse type: ASCII decimal digits only. No sign, underscore,
+    whitespace or non-ASCII digit, all of which int() would accept."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a non-negative decimal integer: {text!r}")
+    return int(text)
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = nonnegative_int(text)
     if value < 1:
         raise ValueError("must be positive")
     return value
@@ -148,7 +145,14 @@ def _run_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None:
         stream = islice(stream, args.limit)
     if args.format == "json":
-        print(json.dumps([list(x) for x in stream]))
+        # Streamed array, byte-identical to json.dumps of the list of lists.
+        write = sys.stdout.write
+        write("[")
+        sep = ""
+        for x in stream:
+            write(f"{sep}[{', '.join(map(str, x))}]")
+            sep = ", "
+        write("]\n")
     else:
         for x in stream:
             print(",".join(map(str, x)))

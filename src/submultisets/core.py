@@ -42,7 +42,9 @@ class MultisetSpec:
     def __post_init__(self) -> None:
         mults = tuple(self.multiplicities)
         for m in mults:
-            if not isinstance(m, int):
+            # bool is an int subclass but no multiplicity; the exact-type
+            # test first keeps the common case as cheap as one isinstance.
+            if type(m) is not int and (isinstance(m, bool) or not isinstance(m, int)):
                 raise ValueError(f"multiplicity must be an integer, got {m!r}")
             if m < 0:
                 raise ValueError(f"multiplicity must be non-negative, got {m}")
@@ -78,7 +80,7 @@ class CountMethod(enum.Enum):
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int):
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")

@@ -1,19 +1,39 @@
 """Materialize the counted set: stream, rank and unrank bounded compositions.
 
 Compositions (x_1, ..., x_k) with sum n and 0 <= x_j <= a_j are produced in
-ascending lexicographic order with position 1 most significant. rank and
-unrank convert between a composition and its 0-based position in that order
-without enumerating, by prefix counting against per-suffix count tables.
+ascending lexicographic order with position 1 most significant. iterate steps
+from each composition to its successor in a loop (Knuth, TAOCP 4A, 7.2.1.3)
+with no recursion, so any dimension k is served; the tail a step refills is
+written by slice assignment, not a Python loop. For small k the last few
+positions are listed once per sum and joined to the rest in C, so most items
+cost no Python step at all. rank and unrank convert between a composition
+and its 0-based position in that order without enumerating, by prefix
+counting against per-suffix count tables.
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 from .core import SpecLike, _check_n, as_spec
 from .oracles import _multiply_bounded
 
 Composition = tuple[int, ...]
+
+#: For specs of at most BLOCKS_MAX_K positions, iterate lists the
+#: compositions of the last positions once per sum and joins each list to a
+#: state of the leading positions in C. The tail is the longest run of last
+#: positions whose values have at most TAIL_COMBINATIONS combinations, so
+#: the lists cost a few kilobytes and well under a millisecond to build,
+#: even for a stream of which only the first items are read; with bounds up
+#: to 10 a block holds up to 11 items. Wider specs skip the join: an item
+#: there costs O(k) to build however it is made, and early in a stream the
+#: last positions often stay full, so a block holds one item and joining
+#: only adds two k-long copies. Measured on a 2-vCPU VM, joining took 1.9x
+#: the time of the loop alone at k = 60 and 0.3-0.8x at k = 8 and 15.
+BLOCKS_MAX_K = 32
+TAIL_COMBINATIONS = 128
 
 
 def _suffix_totals(a: tuple[int, ...]) -> list[int]:
@@ -38,7 +58,7 @@ def _validated(a: tuple[int, ...], n: int, x: Sequence[int]) -> Composition:
     if len(x) != len(a):
         raise ValueError(f"composition has {len(x)} entries, spec has {len(a)}")
     for j, (v, bound) in enumerate(zip(x, a)):
-        if not isinstance(v, int) or v < 0:
+        if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))) or v < 0:
             raise ValueError(f"entry {j} must be a non-negative integer, got {v!r}")
         if v > bound:
             raise ValueError(f"entry {j} is {v}, over its bound {bound}")
@@ -53,39 +73,93 @@ def iterate(spec: SpecLike, n: int, *, start: Sequence[int] | None = None) -> It
 
     Yields exactly count_upper_constrained(spec, n) tuples, each exactly
     once; the stream is empty when the count is zero. Generation is
-    incremental, nothing is materialized. With `start` (a valid composition
-    for the same spec and n) the stream begins at that composition instead of
-    the first one.
+    incremental: a successor loop with no recursion, so there is no limit on
+    the dimension k, walks the compositions (for small k, those of the
+    leading positions, each followed by a block of tails listed once per
+    sum; see BLOCKS_MAX_K). With `start` (a valid composition for the same
+    spec and n) the stream begins at that composition instead of the first
+    one. The spec, n and start are validated at call time, before the first
+    item is requested.
     """
     a = as_spec(spec).multiplicities
     _check_n(n)
     if start is not None:
         start = _validated(a, n, start)
-    return _emit(a, _suffix_totals(a), 0, n, [], start)
+    split, combinations = len(a), 1
+    while (0 < split <= BLOCKS_MAX_K
+           and combinations * (a[split - 1] + 1) <= TAIL_COMBINATIONS):
+        split -= 1
+        combinations *= a[split] + 1
+    if split == len(a):  # no tail: the loop alone
+        return _successors(a, n, start)
+    # The leading positions plus one that stands for the tail's sum.
+    heads = a[:split] + (sum(a[split:]),)
+    head_start = None if start is None else start[:split] + (n - sum(start[:split]),)
+    states = _successors(heads, n, head_start)
+    return chain.from_iterable(_blocks(states, a[split:], n, start))
 
 
-def _emit(
-    a: tuple[int, ...],
-    suffix_totals: list[int],
-    j: int,
-    remaining: int,
-    acc: list[int],
-    start: Composition | None,
-) -> Iterator[Composition]:
-    if j == len(a):
-        if remaining == 0:  # always true when k > 0, thanks to the window
-            yield tuple(acc)
-        return
-    # Feasibility window: what is left must fit in the remaining bounds.
-    lo = max(0, remaining - suffix_totals[j + 1])
-    hi = min(a[j], remaining)
-    first = start[j] if start is not None else lo
-    for v in range(first, hi + 1):
-        acc.append(v)
-        # The start constraint only binds along the prefix equal to start.
-        yield from _emit(a, suffix_totals, j + 1, remaining - v,
-                         acc, start if v == first and start is not None else None)
-        acc.pop()
+def _successors(a: tuple[int, ...], n: int, start: Composition | None) -> Iterator[Composition]:
+    k = len(a)
+    totals = _suffix_totals(a)
+    levels = [-t for t in totals]  # ascending, for bisect
+    zeros = (0,) * k
+    # State: x[:j + 1] is fixed, s is still to be placed in x[j + 1:], and
+    # x[i + 1:] is full. A start state has nothing left to place.
+    if start is None:
+        if n > totals[0]:
+            return
+        x, j, s = [0] * k, -1, n
+    else:
+        x, j, s = list(start), k - 1, 0
+    i = k - 1
+    while True:
+        if j < i:
+            # Filling greedily from the right gives the smallest completion:
+            # x[q + 1:] full, the rest of s at q, zeros in between.
+            q = bisect_right(levels, -s, j + 1, k) - 1
+            x[q + 1:] = a[q + 1:]
+            x[q] = s - totals[q + 1]
+            x[j + 1:q] = zeros[:q - j - 1]
+            i, s = q, totals[q + 1]
+        yield tuple(x)
+        # The successor raises the rightmost entry that has room below its
+        # bound and a nonzero tail sum s to its right to take the unit from;
+        # the scan starts left of the entries the fill left full.
+        while i >= 0 and (s == 0 or x[i] == a[i]):
+            s += x[i]
+            i -= 1
+        if i < 0:
+            return
+        x[i] += 1
+        s -= 1
+        j, i = i, k - 1
+
+
+def _tails_by_sum(tail: tuple[int, ...], n: int) -> list[list[Composition]]:
+    """lists[r] = every composition of r <= n under the tail's bounds, ascending."""
+    lists: list[list[Composition]] = [[()]]
+    for bound in reversed(tail):
+        top = len(lists) - 1
+        lists = [[(v,) + rest
+                  for v in range(max(0, r - top), min(bound, r) + 1)
+                  for rest in lists[r - v]]
+                 for r in range(min(top + bound, n) + 1)]
+    return lists
+
+
+def _blocks(
+    states: Iterator[Composition], tail: tuple[int, ...], n: int, start: Composition | None
+) -> Iterator[Iterator[Composition]]:
+    # A state fixes the leading positions and ends with the tail's sum r; its
+    # block is the state's prefix joined to every tail summing to r, in order.
+    tails = _tails_by_sum(tail, n)
+    for state in states:
+        block = tails[state[-1]]
+        if start is not None:
+            block = block[bisect_left(block, start[len(start) - len(tail):]):]
+            start = None
+        yield map(state[:-1].__add__, block)
 
 
 def rank(spec: SpecLike, n: int, x: Sequence[int]) -> int:
@@ -119,7 +193,7 @@ def unrank(spec: SpecLike, n: int, r: int) -> Composition:
     """
     a = as_spec(spec).multiplicities
     _check_n(n)
-    if not isinstance(r, int) or r < 0:
+    if (type(r) is not int and (isinstance(r, bool) or not isinstance(r, int))) or r < 0:
         raise ValueError(f"rank must be a non-negative integer, got {r!r}")
     tables = _suffix_tables(a, n)
     total = tables[0][n]

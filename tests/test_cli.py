@@ -64,6 +64,22 @@ class TestCountErrors:
     def test_whitespace_rejected(self, capsys):
         assert run(capsys, "count", "-m", "3, 4", "-n", "1")[0] == 2
 
+    # int() would take all of these (the empty string aside); every integer
+    # flag accepts ASCII decimal digits only, like -m.
+    LOOSE_INTEGERS = ["+1", "1_2", " 7", "\u0663", ""]
+
+    @pytest.mark.parametrize("text", LOOSE_INTEGERS)
+    @pytest.mark.parametrize("argv", [
+        ("count", "-m", "2,3", "-n"),
+        ("count", "-m", "2,3", "-n", "1", "--method", "brute", "--budget"),
+        ("enumerate", "-m", "2,3", "-n", "1", "--limit"),
+        ("enumerate", "-m", "2,3", "-n", "1", "--start-rank"),
+    ], ids=["n", "budget", "limit", "start-rank"])
+    def test_loose_integer_flags_rejected(self, capsys, argv, text):
+        code, out, err = run(capsys, *argv, text)
+        assert (code, out) == (2, "")
+        assert err != ""
+
     def test_incexc_capacity_exit(self, capsys):
         m = ",".join(["1"] * 64)
         code, out, err = run(capsys, "count", "-m", m, "-n", "3", "--method", "incexc")
@@ -129,6 +145,24 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "-m", "1,1", "-n", "1", "--format", "json")
         assert code == 0
         assert json.loads(out) == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("m,n,extra", [
+        ("1,1", 1, ()),
+        ("2,3,3", 5, ()),
+        ("2,2", 5, ()),                       # empty stream
+        ("", 0, ()),                          # one empty composition
+        ("2,3,3", 5, ("--start-rank", "7")),
+        ("2,3,3", 5, ("--start-rank", "9")),  # past the end
+        ("2,3,3", 5, ("--limit", "0")),
+        ("4,0,12,3", 6, ("--start-rank", "5", "--limit", "20")),
+    ])
+    def test_json_bytes_match_json_dumps(self, capsys, m, n, extra):
+        code, text_out, _ = run(capsys, "enumerate", "-m", m, "-n", str(n), *extra)
+        assert code == 0
+        rows = [[int(v) for v in line.split(",") if v] for line in text_out.splitlines()]
+        code, out, _ = run(capsys, "enumerate", "-m", m, "-n", str(n), *extra,
+                           "--format", "json")
+        assert (code, out) == (0, json.dumps(rows) + "\n")
 
 
 class TestCheck:

@@ -42,7 +42,7 @@ class TestMultisetSpec:
     def test_zero_multiplicity_allowed(self):
         assert MultisetSpec((0, 2, 0)).cardinality == 2
 
-    @pytest.mark.parametrize("bad", [(-1,), (2, -3), ("2",), (1.5,)])
+    @pytest.mark.parametrize("bad", [(-1,), (2, -3), ("2",), (1.5,), (True, 2), (False,)])
     def test_invalid_multiplicities_rejected(self, bad):
         with pytest.raises(ValueError):
             MultisetSpec(bad)
@@ -174,6 +174,11 @@ class TestCountUpperConstrained:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             count_upper_constrained((2, 3), -1)
+
+    def test_bool_n_rejected(self):
+        # bool is an int subclass; True must not pass for n = 1.
+        with pytest.raises(ValueError):
+            count_upper_constrained((2, 3), True)
 
 
 class TestSequenceIdentities:

@@ -1,10 +1,10 @@
 """Lexicographic streaming of compositions and rank/unrank round trips."""
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
-from submultisets import count_upper_constrained, iterate, rank, unrank
+from submultisets import count_upper_constrained, enumeration, iterate, rank, unrank
 
 # The nine compositions of 5 under bounds (2, 3, 3), ascending lexicographic;
 # frozen from an independent cartesian-product enumeration.
@@ -41,11 +41,14 @@ class TestIterate:
 
     def test_matches_dumb_enumeration(self):
         rng = random.Random(99)
-        for _ in range(25):
-            k = rng.randint(1, 4)
+        for _ in range(200):
+            k = rng.randint(1, 6)
             a = tuple(rng.randint(0, 4) for _ in range(k))
             n = rng.randint(0, sum(a) + 1)
-            assert list(iterate(a, n)) == dumb_list(a, n)
+            expected = dumb_list(a, n)
+            assert list(iterate(a, n)) == expected
+            for i, x in enumerate(expected):
+                assert list(iterate(a, n, start=x)) == expected[i:]
 
     def test_stream_is_strictly_increasing_and_valid(self):
         a, n = (3, 2, 4), 6
@@ -59,8 +62,49 @@ class TestIterate:
         assert list(iterate((2, 3, 3), 5, start=NINE[3])) == NINE[3:]
 
     def test_start_must_be_valid(self):
-        with pytest.raises(ValueError):
-            next(iterate((2, 3, 3), 5, start=(0, 0, 5)))
+        # Refused by the iterate(...) call itself, before any next().
+        for bad in [(0, 0, 5), (0, 2), (0, 2, 2), (-1, 3, 3), (True, 1, 3), (0.0, 2, 3)]:
+            with pytest.raises(ValueError):
+                iterate((2, 3, 3), 5, start=bad)
+
+    def test_wide_spec_past_recursion_limit(self):
+        items = list(iterate((1,) * 1200, 1))
+        assert len(items) == 1200
+        assert items[0] == (0,) * 1199 + (1,)
+        assert items[-1] == (1,) + (0,) * 1199
+
+    def test_wide_prefix_strictly_increasing_and_valid(self):
+        a, n = (1,) * 3000, 3
+        items = list(islice(iterate(a, n), 1000))
+        assert len(items) == 1000
+        assert all(sum(x) == n and all(0 <= v <= 1 for v in x) for x in items)
+        assert all(x < y for x, y in zip(items, items[1:]))
+        assert items[0] == (0,) * 2997 + (1, 1, 1)
+
+    @pytest.mark.parametrize("max_k, tail_combinations", [(0, 4096), (32, 1), (32, 3), (32, 30)])
+    def test_every_split_matches_dumb_enumeration(self, monkeypatch, max_k, tail_combinations):
+        # Plain successor loop (max_k 0) and blocks of every tail length.
+        monkeypatch.setattr(enumeration, "BLOCKS_MAX_K", max_k)
+        monkeypatch.setattr(enumeration, "TAIL_COMBINATIONS", tail_combinations)
+        rng = random.Random(7)
+        for _ in range(60):
+            k = rng.randint(0, 6)
+            a = tuple(rng.randint(0, 4) for _ in range(k))
+            n = rng.randint(0, sum(a) + 1)
+            expected = dumb_list(a, n)
+            assert list(iterate(a, n)) == expected
+            for i, x in enumerate(expected):
+                assert list(iterate(a, n, start=x)) == expected[i:]
+
+    def test_wide_spec_matches_blocks(self, monkeypatch):
+        a = tuple(random.Random(3).randint(0, 3) for _ in range(40))
+        n = sum(a) // 2
+        plain = list(islice(iterate(a, n), 3000))
+        middle = plain[1234]
+        monkeypatch.setattr(enumeration, "BLOCKS_MAX_K", 40)
+        assert list(islice(iterate(a, n), 3000)) == plain
+        assert list(islice(iterate(a, n, start=middle), 100)) == plain[1234:1334]
+        assert all(x < y for x, y in zip(plain, plain[1:]))
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
@@ -112,6 +156,10 @@ class TestUnrank:
     def test_negative_rank_rejected(self):
         with pytest.raises(ValueError):
             unrank((2, 3, 3), 5, -1)
+
+    def test_bool_rank_rejected(self):
+        with pytest.raises(ValueError):
+            unrank((2, 3, 3), 5, True)
 
     def test_reproduces_stream(self):
         a, n = (2, 3, 3), 5

@@ -79,6 +79,10 @@ class TestDp:
         with pytest.raises(ValueError):
             count_dp((2, 3), -1)
 
+    def test_bool_n_rejected(self):
+        with pytest.raises(ValueError):
+            count_dp((2, 3), True)
+
 
 class TestFullTable:
     def test_two_fives(self):
