@@ -8,8 +8,6 @@ dynamic program, or budget-guarded brute force), tabulates all cardinalities,
 streams the compositions in lexicographic order, and ranks/unranks them.
 """
 from .core import (
-    IE_MAX_DIMENSION,
-    CapacityError,
     CountMethod,
     MultisetSpec,
     as_spec,
@@ -19,7 +17,6 @@ from .core import (
     count_unconstrained,
     count_upper_constrained,
     count_wrong_formula,
-    hypergeometric_support_cardinality,
 )
 from .enumeration import iterate, rank, unrank
 from .oracles import (
@@ -41,11 +38,9 @@ __all__ = [
     "AgreementReport",
     "Budget",
     "BudgetExceededError",
-    "CapacityError",
     "CountMethod",
     "CountTable",
     "DEFAULT_BUDGET_ITEMS",
-    "IE_MAX_DIMENSION",
     "MultisetSpec",
     "as_spec",
     "binom_zero_convention",
@@ -59,7 +54,6 @@ __all__ = [
     "count_wrong_formula",
     "cross_check",
     "full_table",
-    "hypergeometric_support_cardinality",
     "iterate",
     "rank",
     "unrank",

@@ -4,10 +4,9 @@
     submultisets table     -m 5,9,14
     submultisets enumerate -m 2,3,3 -n 5 [--limit K] [--start-rank R]
     submultisets check     -m 5,9,14 -n 12 [--budget B]
-    submultisets bench     -m 5,9,14 -n 12 [--budget B]
 
 Results go to stdout, diagnostics to stderr. Exit codes: 0 success, 2
-malformed input, 3 capacity or budget refusal, 4 cross-check disagreement.
+malformed input, 3 brute force over its budget, 4 cross-check disagreement.
 Counts in JSON output are decimal strings, since they routinely exceed the
 integer range of downstream consumers.
 """
@@ -16,11 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from itertools import islice
 from typing import Sequence
 
-from .core import CapacityError, CountMethod, MultisetSpec
+from .core import CountMethod, MultisetSpec
 from .enumeration import iterate, unrank
 from .oracles import Budget, BudgetExceededError, count, cross_check, full_table
 
@@ -100,11 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--budget", type=positive_int, default=None,
                          help="max compositions the brute method may visit")
 
-    p_bench = sub.add_parser("bench", help="time each applicable method on one instance")
-    instance_args(p_bench)
-    p_bench.add_argument("--budget", type=positive_int, default=None,
-                         help="max compositions the brute method may visit")
-
     return parser
 
 
@@ -179,34 +172,11 @@ def _run_check(args: argparse.Namespace) -> int:
     return 0 if report.agree else 4
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    timings: dict[str, float | None] = {}
-    for m in _METHOD_ORDER:
-        started = time.perf_counter()
-        try:
-            count(args.multiplicities, args.n, method=m, budget=_budget_of(args))
-        except (CapacityError, BudgetExceededError):
-            timings[m.value] = None
-        else:
-            timings[m.value] = time.perf_counter() - started
-    if args.format == "json":
-        print(json.dumps(timings))
-    else:
-        sep = "," if args.format == "csv" else " "
-        for name, elapsed in timings.items():
-            if elapsed is None:
-                print(f"{name}{sep}skipped")
-            else:
-                print(f"{name}{sep}{elapsed:.6f}s")
-    return 0
-
-
 _DISPATCH = {
     "count": _run_count,
     "table": _run_table,
     "enumerate": _run_enumerate,
     "check": _run_check,
-    "bench": _run_bench,
 }
 
 
@@ -218,7 +188,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _DISPATCH[args.command](args)
-    except (CapacityError, BudgetExceededError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, IndexError) as exc:

@@ -8,24 +8,18 @@ cardinality n for every integer vector (x_1, ..., x_k) with
 This module counts those vectors exactly, in arbitrary precision: the
 unconstrained stars-and-bars count, the lower-constrained variant, and the
 headline upper-constrained count obtained by inclusion-exclusion over the set
-of violated upper bounds. Everything here is a pure function of its arguments.
+of violated upper bounds, summed by the weight of each set so that the cost
+is polynomial in k and n. It also holds the window convolution by
+1 + x + ... + x^m that the dynamic program and the rank tables build on.
+Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from typing import Sequence, Union
-
-# The inclusion-exclusion sum ranges over all subsets of the k positions,
-# driven by machine-word subset masks; beyond this many positions the subset
-# walk is both unaddressable and hopeless, and callers get an explicit error
-# instead of a silently slower algorithm.
-IE_MAX_DIMENSION = 63
-
-
-class CapacityError(Exception):
-    """An algorithm was asked for an instance size it refuses by design."""
 
 
 @dataclass(frozen=True)
@@ -131,61 +125,57 @@ def count_upper_constrained(spec: SpecLike, n: int) -> int:
     """Number of sub-multisets of cardinality n, i.e. of vectors with
     sum n and 0 <= x_j <= a_j.
 
+    This is also the support cardinality of the multivariate hypergeometric
+    distribution: the number of distinguishable samples of size n drawn
+    without replacement from classes of sizes a_1, ..., a_k.
+
     Computed by inclusion-exclusion over which upper bounds are violated:
-    each subset L of positions contributes (-1)^|L| times the unconstrained
-    count of vectors forced to exceed the bounds in L. Runs through all 2^k
-    subsets, so the cost is exponential in the dimension; k is capped at
-    IE_MAX_DIMENSION and larger instances are told to use count_dp, which is
-    polynomial. The alternating sum is accumulated exactly and must come out
-    non-negative; anything else is an internal bug, not a valid outcome.
+    each subset L of positions contributes (-1)^|L| C(n - e + k - 1, k - 1),
+    the unconstrained count of vectors forced past the bounds in L, where
+    e = sum of (a_j + 1) over L. Subsets of equal weight e share their term,
+    and the signed number of subsets of each weight is the coefficient of
+    x^e in the product of (1 - x^{a_j + 1}), truncated at degree n. So the
+    sum has at most min(n + 1, 2^k) terms and serves any k. It is
+    accumulated exactly and must come out non-negative; anything else is an
+    internal bug, not a valid outcome.
     """
     a = as_spec(spec).multiplicities
     _check_n(n)
     k = len(a)
-    if k > IE_MAX_DIMENSION:
-        raise CapacityError(
-            f"inclusion-exclusion iterates 2^k subsets and supports at most "
-            f"k = {IE_MAX_DIMENSION} positions, got k = {k}; use the "
-            f"DYNAMIC_PROGRAMMING method (count_dp) instead"
-        )
     if k == 0:
         return 1 if n == 0 else 0
 
+    # terms[e] = signed number of subsets L of weight e, built one factor
+    # (1 - x^d) at a time; the snapshot keeps each step on the old terms.
+    terms = {0: 1}
+    for m in a:
+        d = m + 1
+        limit = n - d
+        for e, t in list(terms.items()):
+            if e <= limit:
+                terms[e + d] = terms.get(e + d, 0) - t
     choose = k - 1
     base = n + k - 1
-    total = comb(base, choose)  # the empty subset: all unconstrained vectors
-
-    # Walk the subset masks in Gray-code order so each step toggles a single
-    # position; `weight` tracks |L| + sum of a_j over L incrementally and the
-    # term sign flips on every step. Binomial tops repeat heavily across
-    # subsets, hence the memo.
-    deltas = [m + 1 for m in a]
-    weight = 0
-    mask = 0
-    negative = False
-    memo: dict[int, int] = {}
-    memo_get = memo.get
-    for i in range(1, 1 << k):
-        low = i & -i
-        mask ^= low
-        if mask & low:
-            weight += deltas[low.bit_length() - 1]
-        else:
-            weight -= deltas[low.bit_length() - 1]
-        negative = not negative
-        top = base - weight
-        if top >= choose:
-            term = memo_get(top)
-            if term is None:
-                term = comb(top, choose)
-                memo[top] = term
-            total = total - term if negative else total + term
+    total = sum(t * comb(base - e, choose) for e, t in terms.items())
     if total < 0:
         raise RuntimeError(
-            f"internal error: inclusion-exclusion accumulator ended negative "
+            f"internal error: inclusion-exclusion sum ended negative "
             f"({total}) for multiplicities {a}, n={n}"
         )
     return total
+
+
+def _multiply_bounded(coeffs: list[int], bound: int) -> list[int]:
+    """Multiply a coefficient list by 1 + x + ... + x^bound, same truncation.
+
+    New coefficient t is the window sum of the old coefficients t-bound..t,
+    taken from one prefix-sum pass.
+    """
+    prefix = list(accumulate(coeffs))
+    shift = bound + 1
+    if shift >= len(prefix):
+        return prefix
+    return prefix[:shift] + [hi - lo for hi, lo in zip(prefix[shift:], prefix)]
 
 
 def count_two_elements(a1: int, a2: int, n: int) -> int:
@@ -218,14 +208,3 @@ def count_wrong_formula(spec: SpecLike, n: int) -> int:
         raise ValueError("this formula needs at least one position")
     return binom_zero_convention(spec.cardinality - n + k - 1, k - 1)
 
-
-def hypergeometric_support_cardinality(class_sizes: SpecLike, sample_size: int) -> int:
-    """Number of distinguishable samples when drawing sample_size items
-    without replacement from a population split into classes of the given
-    sizes, items within a class being interchangeable.
-
-    This is the support cardinality of the multivariate hypergeometric
-    distribution with those class sizes, and identically the sub-multiset
-    count of count_upper_constrained.
-    """
-    return count_upper_constrained(class_sizes, sample_size)

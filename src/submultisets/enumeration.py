@@ -16,8 +16,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
-from .core import SpecLike, _check_n, as_spec
-from .oracles import _multiply_bounded
+from .core import SpecLike, _check_n, _multiply_bounded, as_spec
 
 Composition = tuple[int, ...]
 

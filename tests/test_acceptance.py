@@ -9,10 +9,7 @@ import time
 from itertools import product
 from math import comb, prod
 
-import pytest
-
 from submultisets import (
-    CapacityError,
     CountMethod,
     count,
     count_brute_force,
@@ -141,7 +138,7 @@ def test_enumeration_over_grid():
     assert elapsed < 120, f"took {elapsed:.1f}s"
 
 
-@criterion(7, "scale: dp k=200 < 1 s, incexc k=20 < 5 s, incexc k=64 refused")
+@criterion(7, "scale: dp k=200 < 1 s, incexc k=20 < 5 s, incexc k=64 and k=200 answered, equal to dp")
 def test_scale_targets():
     started = time.perf_counter()
     big = count_dp((50,) * 200, 5000)
@@ -157,8 +154,13 @@ def test_scale_targets():
         assert via_incexc == count_dp(a, n)
         assert ie_elapsed < 5.0, f"incexc at n={n} took {ie_elapsed:.3f}s"
 
-    with pytest.raises(CapacityError):
-        count_upper_constrained((1,) * 64, 3)
+    assert count_upper_constrained((1,) * 64, 3) == count_dp((1,) * 64, 3) == 41664
+
+    started = time.perf_counter()
+    wide = count_upper_constrained((50,) * 200, 5000)
+    wide_elapsed = time.perf_counter() - started
+    assert wide == big
+    assert wide_elapsed < 1.0, f"incexc at k=200 took {wide_elapsed:.3f}s"
 
 
 @criterion(8, "CLI contract: documented invocations, byte-exact stdout and exit codes")

@@ -81,10 +81,15 @@ class TestCountErrors:
         assert err != ""
 
     def test_incexc_capacity_exit(self, capsys):
+        # inclusion-exclusion serves any dimension
         m = ",".join(["1"] * 64)
-        code, out, err = run(capsys, "count", "-m", m, "-n", "3", "--method", "incexc")
-        assert (code, out) == (3, "")
-        assert "DYNAMIC_PROGRAMMING" in err
+        assert run(capsys, "count", "-m", m, "-n", "3", "--method", "incexc") == \
+            (0, "41664\n", "")
+
+    def test_brute_without_recursion_limit(self, capsys):
+        m = ",".join(["1"] * 1200)
+        assert run(capsys, "count", "-m", m, "-n", "0", "--method", "brute",
+                   "--budget", str(2**1200)) == (0, "1\n", "")
 
     def test_brute_budget_exit(self, capsys):
         code, out, err = run(capsys, "count", "-m", "5,5", "-n", "5",
@@ -178,6 +183,11 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "-m", "5,5", "-n", "5", "--budget", "1")
         assert (code, out) == (0, "incexc 6\ndp 6\nbrute skipped\nAGREE\n")
 
+    def test_wide_instance_skips_brute(self, capsys):
+        # 2^64 compositions are over the default budget; incexc and dp agree
+        code, out, _ = run(capsys, "check", "-m", ",".join(["1"] * 64), "-n", "3")
+        assert (code, out) == (0, "incexc 41664\ndp 41664\nbrute skipped\nAGREE\n")
+
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "check", "-m", "5,5", "-n", "5", "--budget", "1",
                            "--format", "json")
@@ -197,30 +207,6 @@ class TestCheck:
         assert out.endswith("DISAGREE\n")
 
 
-class TestBench:
-    def test_reports_all_methods(self, capsys):
-        code, out, _ = run(capsys, "bench", "-m", "2,3,3", "-n", "5")
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 3
-        assert [line.split()[0] for line in lines] == ["incexc", "dp", "brute"]
-        assert all(line.split()[1].endswith("s") for line in lines)
-
-    def test_capacity_marked_skipped(self, capsys):
-        m = ",".join(["1"] * 64)
-        code, out, _ = run(capsys, "bench", "-m", m, "-n", "3")
-        assert code == 0
-        assert "incexc skipped" in out
-
-    def test_json_times_are_numbers_or_null(self, capsys):
-        code, out, _ = run(capsys, "bench", "-m", "5,5", "-n", "5", "--budget", "1",
-                           "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["brute"] is None
-        assert isinstance(payload["dp"], float)
-
-
 class TestCsvFormat:
     def test_count_csv_matches_text(self, capsys):
         assert run(capsys, "count", "-m", "2,3,3", "-n", "5", "--format", "csv")[1] == "9\n"
@@ -233,11 +219,6 @@ class TestCsvFormat:
     def test_check_csv(self, capsys):
         code, out, _ = run(capsys, "check", "-m", "2,3,3", "-n", "5", "--format", "csv")
         assert (code, out) == (0, "incexc,9\ndp,9\nbrute,9\nAGREE\n")
-
-    def test_bench_csv_rows(self, capsys):
-        code, out, _ = run(capsys, "bench", "-m", "2,3,3", "-n", "5", "--format", "csv")
-        assert code == 0
-        assert [row.split(",")[0] for row in out.splitlines()] == ["incexc", "dp", "brute"]
 
 
 class TestSubprocessEntry:
@@ -254,8 +235,8 @@ class TestSubprocessEntry:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "57\n", "")
 
     def test_capacity_diagnostics_on_stderr(self):
-        proc = self.invoke("count", "-m", ",".join(["1"] * 64), "-n", "3",
-                           "--method", "incexc")
+        proc = self.invoke("count", "-m", "5,5", "-n", "5", "--method", "brute",
+                           "--budget", "1")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "error:" in proc.stderr

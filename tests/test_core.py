@@ -5,7 +5,6 @@ from math import comb, factorial, prod
 import pytest
 
 from submultisets import (
-    CapacityError,
     CountMethod,
     MultisetSpec,
     as_spec,
@@ -15,8 +14,8 @@ from submultisets import (
     count_unconstrained,
     count_upper_constrained,
     count_wrong_formula,
-    hypergeometric_support_cardinality,
 )
+from submultisets.oracles import count_dp
 
 
 def dumb_count(a, n):
@@ -163,9 +162,9 @@ class TestCountUpperConstrained:
                 assert count_upper_constrained(a, n) == dumb_count(a, n), (a, n)
 
     def test_capacity_error_beyond_63(self):
-        with pytest.raises(CapacityError) as excinfo:
-            count_upper_constrained((1,) * 64, 3)
-        assert "DYNAMIC_PROGRAMMING" in str(excinfo.value)
+        # The weight sum has no dimension cap: k = 64 and beyond are answered.
+        assert count_upper_constrained((1,) * 64, 3) == count_dp((1,) * 64, 3) == comb(64, 3)
+        assert count_upper_constrained((1,) * 1000, 500) == count_dp((1,) * 1000, 500)
 
     def test_malformed_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -256,24 +255,6 @@ class TestCountWrongFormula:
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
             count_wrong_formula((), 0)
-
-
-class TestHypergeometricSupport:
-    def test_three_classes(self):
-        assert hypergeometric_support_cardinality((5, 9, 14), 12) == 57
-
-    def test_two_classes(self):
-        assert hypergeometric_support_cardinality((5, 5), 5) == 6
-
-    def test_empty_sample(self):
-        for sizes in [(3,), (1, 2, 3), (10, 0, 4, 4)]:
-            assert hypergeometric_support_cardinality(sizes, 0) == 1
-
-    def test_is_the_same_count(self):
-        for sizes in product(range(4), repeat=2):
-            for n in range(sum(sizes) + 1):
-                assert hypergeometric_support_cardinality(sizes, n) == \
-                    count_upper_constrained(sizes, n)
 
 
 def test_count_method_members():
