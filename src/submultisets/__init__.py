@@ -13,10 +13,9 @@ from .core import (
     as_spec,
     binom_zero_convention,
     count_lower_constrained,
-    count_two_elements,
     count_unconstrained,
     count_upper_constrained,
-    count_wrong_formula,
+    count_wrong_formula,  # not public: a negative control for perfbench's self-test
 )
 from .enumeration import iterate, rank, unrank
 from .oracles import (
@@ -48,10 +47,8 @@ __all__ = [
     "count_brute_force",
     "count_dp",
     "count_lower_constrained",
-    "count_two_elements",
     "count_unconstrained",
     "count_upper_constrained",
-    "count_wrong_formula",
     "cross_check",
     "full_table",
     "iterate",

@@ -5,7 +5,8 @@
     submultisets enumerate -m 2,3,3 -n 5 [--limit K] [--start-rank R]
     submultisets check     -m 5,9,14 -n 12 [--budget B]
 
-Results go to stdout, diagnostics to stderr. Exit codes: 0 success, 2
+Results go to stdout, diagnostics to stderr (check notes each skipped method
+and why there). Exit codes: 0 success, 2
 malformed input, 3 brute force over its budget, 4 cross-check disagreement.
 Counts in JSON output are decimal strings, since they routinely exceed the
 integer range of downstream consumers.
@@ -154,6 +155,9 @@ def _run_enumerate(args: argparse.Namespace) -> int:
 
 def _run_check(args: argparse.Namespace) -> int:
     report = cross_check(args.multiplicities, args.n, _budget_of(args))
+    for m in _METHOD_ORDER:
+        if m in report.skipped:
+            print(f"note: {m.value} skipped: {report.skipped[m]}", file=sys.stderr)
     if args.format == "json":
         payload: dict[str, object] = {
             m.value: (str(report.values[m]) if m in report.values else None)

@@ -9,9 +9,12 @@ This module counts those vectors exactly, in arbitrary precision: the
 unconstrained stars-and-bars count, the lower-constrained variant, and the
 headline upper-constrained count obtained by inclusion-exclusion over the set
 of violated upper bounds, summed by the weight of each set so that the cost
-is polynomial in k and n. It also holds the window convolution by
-1 + x + ... + x^m that the dynamic program and the rank tables build on.
-Everything here is a pure function of its arguments.
+is polynomial in k and n. It also holds the two pieces the other exact
+counters share: _normalized, which reduces an instance to one with the same
+count and n <= N/2, bounds at most n and no zero bounds, and the window
+convolution by 1 + x + ... + x^m, kept to the nonzero support of the
+product, that the dynamic program and the rank tables build on. Everything
+here is a pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import enum
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
+from operator import sub
 from typing import Sequence, Union
 
 
@@ -78,6 +82,24 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+
+
+def _normalized(a: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int] | None:
+    """An instance with the same count as (a, n), or None when n > N and the
+    count is 0.
+
+    The complement x_j -> a_j - x_j maps the compositions of n one-to-one to
+    those of N - n, so n becomes min(n, N - n). No entry can then exceed n,
+    so every bound is clamped to n, and zero bounds, which force x_j = 0, are
+    dropped. At n = 0 that leaves the empty spec, with its one composition.
+    """
+    total = sum(a)
+    if n > total:
+        return None
+    n = min(n, total - n)
+    if n == 0:
+        return (), 0
+    return tuple([m if m < n else n for m in a if m]), n
 
 
 def binom_zero_convention(alpha: int, beta: int) -> int:
@@ -141,9 +163,13 @@ def count_upper_constrained(spec: SpecLike, n: int) -> int:
     """
     a = as_spec(spec).multiplicities
     _check_n(n)
+    instance = _normalized(a, n)
+    if instance is None:
+        return 0
+    a, n = instance
     k = len(a)
     if k == 0:
-        return 1 if n == 0 else 0
+        return 1  # n = 0: only the empty sub-multiset
 
     # terms[e] = signed number of subsets L of weight e, built one factor
     # (1 - x^d) at a time; the snapshot keeps each step on the old terms.
@@ -165,31 +191,23 @@ def count_upper_constrained(spec: SpecLike, n: int) -> int:
     return total
 
 
-def _multiply_bounded(coeffs: list[int], bound: int) -> list[int]:
-    """Multiply a coefficient list by 1 + x + ... + x^bound, same truncation.
+def _multiply_bounded(coeffs: list[int], bound: int, limit: int) -> list[int]:
+    """Multiply a coefficient list by 1 + x + ... + x^bound, truncated at
+    degree limit.
 
-    New coefficient t is the window sum of the old coefficients t-bound..t,
-    taken from one prefix-sum pass.
+    coeffs holds the nonzero support of a product of such factors, at most
+    limit + 1 long, and so does the result: degrees 0..min(len(coeffs) - 1 +
+    bound, limit). New
+    coefficient t is the window sum of the old coefficients t-bound..t, taken
+    from one prefix-sum pass; past the old support the prefix sums stay flat.
     """
+    size = min(len(coeffs) + bound, limit + 1)
     prefix = list(accumulate(coeffs))
+    prefix += [prefix[-1]] * (size - len(prefix))
     shift = bound + 1
-    if shift >= len(prefix):
+    if shift >= size:
         return prefix
-    return prefix[:shift] + [hi - lo for hi, lo in zip(prefix[shift:], prefix)]
-
-
-def count_two_elements(a1: int, a2: int, n: int) -> int:
-    """Sub-multiset count for the two-element case, in closed form.
-
-    x_1 ranges over the integers in [max(0, n - a2), min(n, a1)], so the
-    count is the length of that interval, clamped at zero. Beware the
-    tempting variant min(n, a1) - max(1, n - a2) + 2: it overcounts by one
-    whenever n > a2.
-    """
-    for name, value in (("a1", a1), ("a2", a2), ("n", n)):
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return max(0, min(n, a1) - max(0, n - a2) + 1)
+    return prefix[:shift] + list(map(sub, prefix[shift:], prefix))
 
 
 def count_wrong_formula(spec: SpecLike, n: int) -> int:

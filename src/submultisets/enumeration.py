@@ -41,13 +41,17 @@ def _suffix_totals(a: tuple[int, ...]) -> list[int]:
 
 
 def _suffix_tables(a: tuple[int, ...], n: int) -> list[list[int]]:
-    """tables[j][s] = number of ways to finish positions j.. with sum s."""
+    """tables[j][s] = number of ways to finish positions j.. with sum s.
+
+    Each table stops at the smaller of n and a_j + ... + a_k: past that sum
+    there is no way to finish, and the count is 0.
+    """
     tables: list[list[int]] = [[]] * (len(a) + 1)
-    coeffs = [1] + [0] * n
+    coeffs = [1]
     tables[len(a)] = coeffs
     for j in range(len(a) - 1, -1, -1):
         if a[j] > 0:
-            coeffs = _multiply_bounded(coeffs, a[j])
+            coeffs = _multiply_bounded(coeffs, a[j], n)
         tables[j] = coeffs
     return tables
 
@@ -195,7 +199,7 @@ def unrank(spec: SpecLike, n: int, r: int) -> Composition:
     if (type(r) is not int and (isinstance(r, bool) or not isinstance(r, int))) or r < 0:
         raise ValueError(f"rank must be a non-negative integer, got {r!r}")
     tables = _suffix_tables(a, n)
-    total = tables[0][n]
+    total = tables[0][n] if n < len(tables[0]) else 0  # n > N: none at all
     if r >= total:
         raise IndexError(f"rank {r} out of range, only {total} compositions")
     suffix_totals = _suffix_totals(a)

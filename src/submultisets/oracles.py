@@ -1,10 +1,14 @@
 """Independent counting methods used to validate the closed form.
 
-Two methods that share no code with the inclusion-exclusion formula: a count
-of the lexicographic stream of compositions (exponential, budget-guarded)
-and a generating-function dynamic program, the coefficient of x^n in the
-product of (1 + x + ... + x^{a_j}) over all elements. Both serve any
-dimension; the DP is polynomial in it.
+Two methods beside the inclusion-exclusion formula. A generating-function
+dynamic program takes the coefficient of x^n in the product of
+(1 + x + ... + x^{a_j}) over all elements; it shares with the formula only
+core._normalized, which reduces the instance to n <= N/2 and bounds in
+1..n first, and full_table mirrors the lower half of the same product. A
+count of the lexicographic stream of compositions (exponential,
+budget-guarded) shares nothing with either: it counts the instance as
+given, so it also checks the normalization. Both serve any dimension; the
+DP is polynomial in it.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ from .core import (
     SpecLike,
     _check_n,
     _multiply_bounded,
+    _normalized,
     as_spec,
     count_upper_constrained,
 )
@@ -37,8 +42,9 @@ class Budget:
     max_items: int = DEFAULT_BUDGET_ITEMS
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_items, int) or self.max_items < 1:
-            raise ValueError(f"max_items must be a positive integer, got {self.max_items!r}")
+        v = self.max_items
+        if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))) or v < 1:
+            raise ValueError(f"max_items must be a positive integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -76,12 +82,12 @@ def count_brute_force(spec: SpecLike, n: int, budget: Budget | None = None) -> i
 
 
 def _bounded_product_coeffs(multiplicities: tuple[int, ...], limit: int) -> list[int]:
-    """Coefficients 0..limit of the product of (1 + x + ... + x^{a_j})."""
-    coeffs = [0] * (limit + 1)
-    coeffs[0] = 1
+    """Coefficients of the product of (1 + x + ... + x^{a_j}) from degree 0
+    to the smaller of limit and the sum of the a_j; all higher ones are 0."""
+    coeffs = [1]
     for m in multiplicities:
         if m > 0:  # a factor of 1 changes nothing
-            coeffs = _multiply_bounded(coeffs, m)
+            coeffs = _multiply_bounded(coeffs, m, limit)
     return coeffs
 
 
@@ -89,19 +95,31 @@ def count_dp(spec: SpecLike, n: int) -> int:
     """Count sub-multisets of cardinality n as a generating-function
     coefficient.
 
-    Convolves the factors (1 + x + ... + x^{a_j}) one element at a time,
-    truncated at degree n since higher coefficients never flow back down.
-    Polynomial cost, arbitrary dimension.
+    Normalizes the instance first (n complemented to at most N/2, bounds
+    clamped to n, zero bounds dropped), then convolves the factors
+    (1 + x + ... + x^{a_j}) one element at a time, truncated at degree n
+    since higher coefficients never flow back down. Polynomial cost,
+    arbitrary dimension.
     """
     a = as_spec(spec).multiplicities
     _check_n(n)
+    instance = _normalized(a, n)
+    if instance is None:
+        return 0
+    a, n = instance
     return _bounded_product_coeffs(a, n)[n]
 
 
 def full_table(spec: SpecLike) -> CountTable:
-    """Counts for every cardinality 0..N in a single polynomial product."""
+    """Counts for every cardinality 0..N in a single polynomial product.
+
+    The table is a palindrome (x_j -> a_j - x_j maps cardinality n to N - n),
+    so the product is taken to degree N // 2 and the degrees above mirror it.
+    """
     spec = as_spec(spec)
-    return CountTable(spec, tuple(_bounded_product_coeffs(spec.multiplicities, spec.cardinality)))
+    total = spec.cardinality
+    half = _bounded_product_coeffs(spec.multiplicities, total // 2)
+    return CountTable(spec, tuple(half + half[:total + 1 - len(half)][::-1]))
 
 
 @dataclass(frozen=True)

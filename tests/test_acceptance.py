@@ -14,15 +14,16 @@ from submultisets import (
     count,
     count_brute_force,
     count_dp,
-    count_two_elements,
     count_upper_constrained,
-    count_wrong_formula,
     full_table,
     iterate,
     rank,
     unrank,
 )
 from submultisets.cli import main as cli_main
+from submultisets.core import count_wrong_formula
+
+from formulas import count_two_elements
 
 
 def criterion(number, description):

@@ -23,6 +23,9 @@ class TestCount:
     def test_two_fives(self, capsys):
         assert run(capsys, "count", "-m", "5,5", "-n", "5") == (0, "6\n", "")
 
+    def test_n_equal_to_a_large_total(self, capsys):
+        assert run(capsys, "count", "-m", "100000,100000", "-n", "200000") == (0, "1\n", "")
+
     @pytest.mark.parametrize("method", ["incexc", "dp", "brute"])
     def test_methods_agree(self, capsys, method):
         code, out, _ = run(capsys, "count", "-m", "5,9,14", "-n", "12", "--method", method)
@@ -172,8 +175,8 @@ class TestEnumerate:
 
 class TestCheck:
     def test_agreement_text(self, capsys):
-        code, out, _ = run(capsys, "check", "-m", "5,9,14", "-n", "12")
-        assert (code, out) == (0, "incexc 57\ndp 57\nbrute 57\nAGREE\n")
+        code, out, err = run(capsys, "check", "-m", "5,9,14", "-n", "12")
+        assert (code, out, err) == (0, "incexc 57\ndp 57\nbrute 57\nAGREE\n", "")
 
     def test_two_element_instance(self, capsys):
         code, out, _ = run(capsys, "check", "-m", "3,4", "-n", "5")
@@ -187,6 +190,18 @@ class TestCheck:
         # 2^64 compositions are over the default budget; incexc and dp agree
         code, out, _ = run(capsys, "check", "-m", ",".join(["1"] * 64), "-n", "3")
         assert (code, out) == (0, "incexc 41664\ndp 41664\nbrute skipped\nAGREE\n")
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("text", "incexc 6\ndp 6\nbrute skipped\nAGREE\n"),
+        ("csv", "incexc,6\ndp,6\nbrute,skipped\nAGREE\n"),
+        ("json", '{"incexc": "6", "dp": "6", "brute": null, "agree": true}\n'),
+    ])
+    def test_skip_reason_on_stderr(self, capsys, fmt, expected):
+        code, out, err = run(capsys, "check", "-m", "5,5", "-n", "5", "--budget", "1",
+                             "--format", fmt)
+        assert (code, out) == (0, expected)
+        assert err == ("note: brute skipped: instance has an estimated 36 "
+                       "compositions, over the budget of 1\n")
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "check", "-m", "5,5", "-n", "5", "--budget", "1",

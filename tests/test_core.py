@@ -10,12 +10,13 @@ from submultisets import (
     as_spec,
     binom_zero_convention,
     count_lower_constrained,
-    count_two_elements,
     count_unconstrained,
     count_upper_constrained,
-    count_wrong_formula,
 )
+from submultisets.core import count_wrong_formula
 from submultisets.oracles import count_dp
+
+from formulas import count_two_elements
 
 
 def dumb_count(a, n):

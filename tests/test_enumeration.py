@@ -150,7 +150,7 @@ class TestUnrank:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             unrank((2, 3, 3), 5, 9)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="only 0 compositions"):
             unrank((2, 2), 5, 0)  # the stream is empty
 
     def test_negative_rank_rejected(self):

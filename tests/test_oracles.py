@@ -58,6 +58,9 @@ class TestBruteForce:
             Budget(0)
         with pytest.raises(ValueError):
             Budget(-3)
+        for flag in (True, False):  # bool is an int subclass, not a count
+            with pytest.raises(ValueError):
+                Budget(flag)
 
 
 class TestDp:
@@ -68,6 +71,8 @@ class TestDp:
         ((), 0, 1),
         ((), 4, 0),
         ((3, 3), 100, 0),
+        ((10**5, 10**5), 10**5, 10**5 + 1),
+        ((10**5, 10**5), 2 * 10**5, 1),
     ])
     def test_golden_values(self, a, n, expected):
         assert count_dp(a, n) == expected
@@ -96,6 +101,15 @@ class TestFullTable:
 
     def test_empty_spec(self):
         assert full_table(()).counts == (1,)
+
+    def test_all_zero_spec(self):
+        assert full_table((0, 0, 0)).counts == (1,)
+
+    @pytest.mark.parametrize("a", [(1,), (2,), (2, 3, 3), (2, 3, 4), (0, 5, 1, 2), (0, 5, 1, 3)])
+    def test_mirrors_odd_and_even_totals(self, a):
+        # The upper half is mirrored from the lower one; brute force counts
+        # every n on its own.
+        assert full_table(a).counts == tuple(count_brute_force(a, n) for n in range(sum(a) + 1))
 
     def test_counterexample_entry(self):
         assert full_table((2, 3, 3))[5] == 9
