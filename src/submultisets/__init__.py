@@ -10,10 +10,6 @@ streams the compositions in lexicographic order, and ranks/unranks them.
 from .core import (
     CountMethod,
     MultisetSpec,
-    as_spec,
-    binom_zero_convention,
-    count_lower_constrained,
-    count_unconstrained,
     count_upper_constrained,
     count_wrong_formula,  # not public: a negative control for perfbench's self-test
 )
@@ -41,13 +37,9 @@ __all__ = [
     "CountTable",
     "DEFAULT_BUDGET_ITEMS",
     "MultisetSpec",
-    "as_spec",
-    "binom_zero_convention",
     "count",
     "count_brute_force",
     "count_dp",
-    "count_lower_constrained",
-    "count_unconstrained",
     "count_upper_constrained",
     "cross_check",
     "full_table",

@@ -23,12 +23,6 @@ from .core import CountMethod, MultisetSpec
 from .enumeration import iterate, unrank
 from .oracles import Budget, BudgetExceededError, count, cross_check, full_table
 
-_METHOD_ORDER = (
-    CountMethod.INCLUSION_EXCLUSION,
-    CountMethod.DYNAMIC_PROGRAMMING,
-    CountMethod.BRUTE_FORCE,
-)
-
 
 def multiplicity_list(text: str) -> MultisetSpec:
     """argparse type: comma-separated non-negative decimal integers."""
@@ -107,8 +101,7 @@ def _budget_of(args: argparse.Namespace) -> Budget | None:
 
 
 def _run_count(args: argparse.Namespace) -> int:
-    value = count(args.multiplicities, args.n,
-                  method=CountMethod(args.method), budget=_budget_of(args))
+    value = count(args.multiplicities, args.n, method=args.method, budget=_budget_of(args))
     if args.format == "json":
         print(json.dumps({"count": str(value)}))
     else:
@@ -155,19 +148,19 @@ def _run_enumerate(args: argparse.Namespace) -> int:
 
 def _run_check(args: argparse.Namespace) -> int:
     report = cross_check(args.multiplicities, args.n, _budget_of(args))
-    for m in _METHOD_ORDER:
+    for m in CountMethod:
         if m in report.skipped:
             print(f"note: {m.value} skipped: {report.skipped[m]}", file=sys.stderr)
     if args.format == "json":
         payload: dict[str, object] = {
             m.value: (str(report.values[m]) if m in report.values else None)
-            for m in _METHOD_ORDER
+            for m in CountMethod
         }
         payload["agree"] = report.agree
         print(json.dumps(payload))
     else:
         sep = "," if args.format == "csv" else " "
-        for m in _METHOD_ORDER:
+        for m in CountMethod:
             if m in report.values:
                 print(f"{m.value}{sep}{report.values[m]}")
             else:

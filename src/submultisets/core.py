@@ -5,16 +5,15 @@ cardinality n for every integer vector (x_1, ..., x_k) with
 
     x_1 + ... + x_k = n   and   0 <= x_j <= a_j .
 
-This module counts those vectors exactly, in arbitrary precision: the
-unconstrained stars-and-bars count, the lower-constrained variant, and the
-headline upper-constrained count obtained by inclusion-exclusion over the set
-of violated upper bounds, summed by the weight of each set so that the cost
-is polynomial in k and n. It also holds the two pieces the other exact
-counters share: _normalized, which reduces an instance to one with the same
-count and n <= N/2, bounds at most n and no zero bounds, and the window
-convolution by 1 + x + ... + x^m, kept to the nonzero support of the
-product, that the dynamic program and the rank tables build on. Everything
-here is a pure function of its arguments.
+This module counts those vectors exactly, in arbitrary precision, by
+inclusion-exclusion over the set of violated upper bounds, summed by the
+weight of each set so that the cost is polynomial in k and n. It also holds
+what the rest of the package shares: the input gate _multiplicities, which
+every entry point that takes an instance (spec, n) calls first; _normalized,
+which reduces an instance to one with the same count and n <= N/2, bounds at
+most n and no zero bounds; and the window convolution by 1 + x + ... + x^m,
+kept to the nonzero support of the product, that the dynamic program and the
+rank tables build on. Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -24,6 +23,12 @@ from itertools import accumulate
 from math import comb
 from operator import sub
 from typing import Sequence, Union
+
+
+def _is_int(value: object) -> bool:
+    """True for an int that is not a bool: bool is an int subclass but no
+    count. The exact-type test first keeps the common case one comparison."""
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,7 @@ class MultisetSpec:
     def __post_init__(self) -> None:
         mults = tuple(self.multiplicities)
         for m in mults:
-            # bool is an int subclass but no multiplicity; the exact-type
-            # test first keeps the common case as cheap as one isinstance.
-            if type(m) is not int and (isinstance(m, bool) or not isinstance(m, int)):
+            if not _is_int(m):
                 raise ValueError(f"multiplicity must be an integer, got {m!r}")
             if m < 0:
                 raise ValueError(f"multiplicity must be non-negative, got {m}")
@@ -77,22 +80,31 @@ class CountMethod(enum.Enum):
     BRUTE_FORCE = "brute"
 
 
-def _check_n(n: int) -> None:
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+def _multiplicities(spec: SpecLike, n: int) -> tuple[int, ...]:
+    """The multiplicities of the instance (spec, n), once both are validated.
+
+    The input gate of every entry point that takes an instance: spec must be
+    a MultisetSpec or a sequence of non-negative ints and n a non-negative
+    int, or ValueError is raised.
+    """
+    a = as_spec(spec).multiplicities
+    if not _is_int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    return a
 
 
-def _normalized(a: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int] | None:
-    """An instance with the same count as (a, n), or None when n > N and the
-    count is 0.
+def _normalized(spec: SpecLike, n: int) -> tuple[tuple[int, ...], int] | None:
+    """A validated instance with the same count as (spec, n), or None when
+    n > N and the count is 0.
 
     The complement x_j -> a_j - x_j maps the compositions of n one-to-one to
     those of N - n, so n becomes min(n, N - n). No entry can then exceed n,
     so every bound is clamped to n, and zero bounds, which force x_j = 0, are
     dropped. At n = 0 that leaves the empty spec, with its one composition.
     """
+    a = _multiplicities(spec, n)
     total = sum(a)
     if n > total:
         return None
@@ -100,47 +112,6 @@ def _normalized(a: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int] | Non
     if n == 0:
         return (), 0
     return tuple([m if m < n else n for m in a if m]), n
-
-
-def binom_zero_convention(alpha: int, beta: int) -> int:
-    """C(alpha, beta), taken to be 0 when alpha < 0, beta < 0 or alpha < beta.
-
-    The zero cases are the combinatorially meaningful extension: there is no
-    way to choose beta items out of fewer than beta.
-    """
-    if beta < 0 or alpha < beta:
-        return 0
-    return comb(alpha, beta)
-
-
-def count_unconstrained(k: int, n: int) -> int:
-    """Number of length-k sequences of non-negative integers summing to n.
-
-    Stars and bars: C(n + k - 1, k - 1). This is also the sub-multiset count
-    whenever n does not exceed any multiplicity.
-    """
-    _check_n(n)
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if k == 0:
-        if n == 0:
-            return 1  # the empty sequence sums to 0
-        raise ValueError("k must be at least 1 when n > 0")
-    return comb(n + k - 1, k - 1)
-
-
-def count_lower_constrained(spec: SpecLike, n: int) -> int:
-    """Number of length-k sequences summing to n with x_j >= a_j for every j.
-
-    Shifting each x_j down by a_j reduces this to the unconstrained count of
-    n - sum(a); the zero convention makes the result 0 when n < sum(a).
-    """
-    spec = as_spec(spec)
-    _check_n(n)
-    k = spec.dimension
-    if k == 0:
-        raise ValueError("lower-constrained count needs at least one position")
-    return binom_zero_convention(n - spec.cardinality + k - 1, k - 1)
 
 
 def count_upper_constrained(spec: SpecLike, n: int) -> int:
@@ -161,9 +132,7 @@ def count_upper_constrained(spec: SpecLike, n: int) -> int:
     accumulated exactly and must come out non-negative; anything else is an
     internal bug, not a valid outcome.
     """
-    a = as_spec(spec).multiplicities
-    _check_n(n)
-    instance = _normalized(a, n)
+    instance = _normalized(spec, n)
     if instance is None:
         return 0
     a, n = instance
@@ -219,10 +188,10 @@ def count_wrong_formula(spec: SpecLike, n: int) -> int:
     counted too. Kept as a negative control for tests; see
     count_upper_constrained for the real thing.
     """
-    spec = as_spec(spec)
-    _check_n(n)
-    k = spec.dimension
+    a = _multiplicities(spec, n)
+    k = len(a)
     if k == 0:
         raise ValueError("this formula needs at least one position")
-    return binom_zero_convention(spec.cardinality - n + k - 1, k - 1)
+    top = sum(a) - n + k - 1
+    return comb(top, k - 1) if top >= k - 1 else 0
 

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
-from .core import SpecLike, _check_n, _multiply_bounded, as_spec
+from .core import SpecLike, _is_int, _multiplicities, _multiply_bounded
 
 Composition = tuple[int, ...]
 
@@ -33,11 +33,6 @@ Composition = tuple[int, ...]
 #: the time of the loop alone at k = 60 and 0.3-0.8x at k = 8 and 15.
 BLOCKS_MAX_K = 32
 TAIL_COMBINATIONS = 128
-
-
-def _suffix_totals(a: tuple[int, ...]) -> list[int]:
-    # suffix_totals[j] = a_j + ... + a_k (0 at j = k)
-    return list(accumulate(reversed(a), initial=0))[::-1]
 
 
 def _suffix_tables(a: tuple[int, ...], n: int) -> list[list[int]]:
@@ -61,7 +56,7 @@ def _validated(a: tuple[int, ...], n: int, x: Sequence[int]) -> Composition:
     if len(x) != len(a):
         raise ValueError(f"composition has {len(x)} entries, spec has {len(a)}")
     for j, (v, bound) in enumerate(zip(x, a)):
-        if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))) or v < 0:
+        if not _is_int(v) or v < 0:
             raise ValueError(f"entry {j} must be a non-negative integer, got {v!r}")
         if v > bound:
             raise ValueError(f"entry {j} is {v}, over its bound {bound}")
@@ -84,8 +79,7 @@ def iterate(spec: SpecLike, n: int, *, start: Sequence[int] | None = None) -> It
     one. The spec, n and start are validated at call time, before the first
     item is requested.
     """
-    a = as_spec(spec).multiplicities
-    _check_n(n)
+    a = _multiplicities(spec, n)
     if start is not None:
         start = _validated(a, n, start)
     split, combinations = len(a), 1
@@ -104,7 +98,7 @@ def iterate(spec: SpecLike, n: int, *, start: Sequence[int] | None = None) -> It
 
 def _successors(a: tuple[int, ...], n: int, start: Composition | None) -> Iterator[Composition]:
     k = len(a)
-    totals = _suffix_totals(a)
+    totals = list(accumulate(reversed(a), initial=0))[::-1]  # a_j + ... + a_k
     levels = [-t for t in totals]  # ascending, for bisect
     zeros = (0,) * k
     # State: x[:j + 1] is fixed, s is still to be placed in x[j + 1:], and
@@ -173,16 +167,15 @@ def rank(spec: SpecLike, n: int, x: Sequence[int]) -> int:
     sum over v < x_j of the count of suffixes with the leftover sum. Rejects
     x when it violates a bound or the sum.
     """
-    a = as_spec(spec).multiplicities
-    _check_n(n)
+    a = _multiplicities(spec, n)
     x = _validated(a, n, x)
     tables = _suffix_tables(a, n)
-    suffix_totals = _suffix_totals(a)
     position = 0
     remaining = n
     for j, chosen in enumerate(x):
         table = tables[j + 1]
-        lo = max(0, remaining - suffix_totals[j + 1])
+        # The suffix takes at most len(table) - 1, so x_j is at least lo.
+        lo = max(0, remaining - (len(table) - 1))
         for v in range(lo, chosen):
             position += table[remaining - v]
         remaining -= chosen
@@ -194,20 +187,18 @@ def unrank(spec: SpecLike, n: int, r: int) -> Composition:
 
     Raises IndexError when r is not below the total count.
     """
-    a = as_spec(spec).multiplicities
-    _check_n(n)
-    if (type(r) is not int and (isinstance(r, bool) or not isinstance(r, int))) or r < 0:
+    a = _multiplicities(spec, n)
+    if not _is_int(r) or r < 0:
         raise ValueError(f"rank must be a non-negative integer, got {r!r}")
     tables = _suffix_tables(a, n)
     total = tables[0][n] if n < len(tables[0]) else 0  # n > N: none at all
     if r >= total:
         raise IndexError(f"rank {r} out of range, only {total} compositions")
-    suffix_totals = _suffix_totals(a)
     out: list[int] = []
     remaining = n
     for j in range(len(a)):
         table = tables[j + 1]
-        v = max(0, remaining - suffix_totals[j + 1])
+        v = max(0, remaining - (len(table) - 1))
         while True:
             below = table[remaining - v]
             if r < below:

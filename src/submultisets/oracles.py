@@ -19,7 +19,8 @@ from .core import (
     CountMethod,
     MultisetSpec,
     SpecLike,
-    _check_n,
+    _is_int,
+    _multiplicities,
     _multiply_bounded,
     _normalized,
     as_spec,
@@ -43,7 +44,7 @@ class Budget:
 
     def __post_init__(self) -> None:
         v = self.max_items
-        if (type(v) is not int and (isinstance(v, bool) or not isinstance(v, int))) or v < 1:
+        if not _is_int(v) or v < 1:
             raise ValueError(f"max_items must be a positive integer, got {v!r}")
 
 
@@ -68,17 +69,16 @@ def count_brute_force(spec: SpecLike, n: int, budget: Budget | None = None) -> i
     work is proportional to the number of compositions listed. Refuses to
     start when the instance estimate prod(a_j + 1) exceeds the budget.
     """
-    spec = as_spec(spec)
-    _check_n(n)
+    a = _multiplicities(spec, n)
     if budget is None:
         budget = Budget()
-    estimate = prod(m + 1 for m in spec.multiplicities)
+    estimate = prod(m + 1 for m in a)
     if estimate > budget.max_items:
         raise BudgetExceededError(
             f"instance has an estimated {estimate} compositions, over the "
             f"budget of {budget.max_items}"
         )
-    return sum(1 for _ in iterate(spec, n))
+    return sum(1 for _ in iterate(a, n))
 
 
 def _bounded_product_coeffs(multiplicities: tuple[int, ...], limit: int) -> list[int]:
@@ -101,9 +101,7 @@ def count_dp(spec: SpecLike, n: int) -> int:
     since higher coefficients never flow back down. Polynomial cost,
     arbitrary dimension.
     """
-    a = as_spec(spec).multiplicities
-    _check_n(n)
-    instance = _normalized(a, n)
+    instance = _normalized(spec, n)
     if instance is None:
         return 0
     a, n = instance
@@ -139,10 +137,13 @@ class AgreementReport:
 def count(
     spec: SpecLike,
     n: int,
-    method: CountMethod = CountMethod.DYNAMIC_PROGRAMMING,
+    method: CountMethod | str = CountMethod.DYNAMIC_PROGRAMMING,
     budget: Budget | None = None,
 ) -> int:
-    """Count sub-multisets of cardinality n with the chosen method."""
+    """Count sub-multisets of cardinality n with the chosen method, given as
+    a CountMethod member or its value ("incexc", "dp", "brute"); any other
+    method raises ValueError."""
+    method = CountMethod(method)
     if method is CountMethod.INCLUSION_EXCLUSION:
         return count_upper_constrained(spec, n)
     if method is CountMethod.BRUTE_FORCE:

@@ -4,19 +4,16 @@ from math import comb, factorial, prod
 
 import pytest
 
-from submultisets import (
-    CountMethod,
-    MultisetSpec,
-    as_spec,
-    binom_zero_convention,
-    count_lower_constrained,
-    count_unconstrained,
-    count_upper_constrained,
-)
-from submultisets.core import count_wrong_formula
+from submultisets import CountMethod, MultisetSpec, count_upper_constrained
+from submultisets.core import as_spec, count_wrong_formula
 from submultisets.oracles import count_dp
 
-from formulas import count_two_elements
+from formulas import (
+    binom_zero_convention,
+    count_lower_constrained,
+    count_two_elements,
+    count_unconstrained,
+)
 
 
 def dumb_count(a, n):
@@ -102,6 +99,10 @@ class TestCountUnconstrained:
             count_unconstrained(3, -1)
         with pytest.raises(ValueError):
             count_unconstrained(-2, 0)
+        # bool and float are no counts, for k as for n
+        for k, n in ((True, 3), (2.0, 3), (2, True), (2, 3.0)):
+            with pytest.raises(ValueError):
+                count_unconstrained(k, n)
 
 
 class TestCountLowerConstrained:
@@ -260,3 +261,17 @@ class TestCountWrongFormula:
 
 def test_count_method_members():
     assert {m.value for m in CountMethod} == {"incexc", "dp", "brute"}
+
+
+def test_package_surface_is_pinned():
+    import submultisets
+
+    assert sorted(submultisets.__all__) == [
+        "AgreementReport", "Budget", "BudgetExceededError", "CountMethod",
+        "CountTable", "DEFAULT_BUDGET_ITEMS", "MultisetSpec", "count",
+        "count_brute_force", "count_dp", "count_upper_constrained",
+        "cross_check", "full_table", "iterate", "rank", "unrank",
+    ]
+    for name in ("as_spec", "binom_zero_convention", "count_lower_constrained",
+                 "count_unconstrained"):
+        assert not hasattr(submultisets, name), name

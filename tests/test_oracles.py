@@ -148,6 +148,34 @@ class TestMethodDispatch:
         with pytest.raises(BudgetExceededError):
             count((5, 5), 5, method=CountMethod.BRUTE_FORCE, budget=Budget(1))
 
+    def test_method_by_value(self):
+        assert count((2, 3, 3), 5, method="incexc") == 9
+        assert count((2, 3, 3), 5, method="dp") == 9
+        with pytest.raises(BudgetExceededError):
+            count((2, 3, 3), 5, method="brute", budget=Budget(1))
+
+    @pytest.mark.parametrize("method", [None, "x", "DYNAMIC_PROGRAMMING"])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValueError):
+            count((2, 3, 3), 5, method=method)
+
+
+class TestSympyExpansion:
+    """A fourth oracle, outside the package: sympy expands the generating
+    function and its coefficient of x^n is the count."""
+
+    def test_coefficient_equals_counts(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        specs = list(product(range(4), repeat=3)) + [(), (5, 9, 14), (2, 3, 3), (0, 7, 1, 2, 6)]
+        for a in specs:
+            polynomial = sympy.Poly(1, x)
+            for m in a:
+                polynomial *= sympy.Poly([1] * (m + 1), x)
+            for n in range(sum(a) + 2):
+                coefficient = int(polynomial.coeff_monomial(x**n))
+                assert coefficient == count_dp(a, n) == count_upper_constrained(a, n), (a, n)
+
 
 class TestOracleEquivalence:
     def test_random_specs(self):

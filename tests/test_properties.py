@@ -1,6 +1,9 @@
 """Property tests: the normalized, support-trimmed counters against the
-unnormalized brute-force oracle and against each other."""
+unnormalized brute-force oracle and against each other, the shape of the
+count table, and the enumeration stream at wide dimension."""
+from itertools import islice
 from math import prod
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from submultisets import (
     count_dp,
     count_upper_constrained,
     full_table,
+    iterate,
     rank,
     unrank,
 )
@@ -25,6 +29,14 @@ def instances(draw, max_k, max_bound):
 
 def specs(max_k, max_bound):
     return st.lists(st.integers(0, max_bound), max_size=max_k).map(tuple)
+
+
+@st.composite
+def wide_specs(draw, max_k=2000):
+    """Up to max_k bounds in 0..3, mostly 1, built from one drawn seed rather
+    than drawn one by one, which would make each example slow to generate."""
+    rng = draw(st.randoms(use_true_random=False))
+    return tuple(rng.choice((0, 1, 1, 2, 3)) for _ in range(draw(st.integers(0, max_k))))
 
 
 @settings(deadline=None, max_examples=150)
@@ -75,3 +87,33 @@ def test_rank_unrank_round_trip_past_half(a, at_total, past, data):
         assert rank(a, n, x) == r
     with pytest.raises(IndexError):
         unrank(a, total + past, 0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(specs(max_k=30, max_bound=10))
+def test_full_table_is_unimodal(a):
+    counts = full_table(a).counts
+    steps = list(zip(counts, counts[1:]))
+    rises = [i for i, (x, y) in enumerate(steps) if y > x]
+    falls = [i for i, (x, y) in enumerate(steps) if y < x]
+    assert not rises or not falls or max(rises) < min(falls)
+
+
+@settings(deadline=None, max_examples=30)
+@given(wide_specs(), st.data())
+def test_iterate_prefix_strictly_increasing_and_valid(a, data):
+    n = data.draw(st.integers(0, sum(a) + 1))
+    head = list(islice(iterate(a, n), 1000))
+    assert all(x < y for x, y in zip(head, head[1:]))
+    assert all(sum(x) == n and all(map(le, x, a)) for x in head)
+
+
+@settings(deadline=None, max_examples=40)
+@given(wide_specs(), st.integers(0, 4), st.booleans())
+def test_iterate_stream_length_equals_count_dp(a, offset, from_top):
+    # n within 4 of 0 or of N + 1 keeps count_dp cheap at any k; the stream
+    # is listed in full whenever it has at most 10^4 items.
+    n = max(0, sum(a) + 1 - offset) if from_top else offset
+    expected = count_dp(a, n)
+    if expected <= 10**4:
+        assert sum(1 for _ in iterate(a, n)) == expected
