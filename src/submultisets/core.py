@@ -12,8 +12,9 @@ what the rest of the package shares: the input gate _multiplicities, which
 every entry point that takes an instance (spec, n) calls first; _normalized,
 which reduces an instance to one with the same count and n <= N/2, bounds at
 most n and no zero bounds; and the window convolution by 1 + x + ... + x^m,
-kept to the nonzero support of the product, that the dynamic program and the
-rank tables build on. Everything here is a pure function of its arguments.
+folded over a spec and kept to the degrees of the product that can still
+reach n, that the dynamic program and the rank tables build on. Everything
+here is a pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -160,13 +161,13 @@ def count_upper_constrained(spec: SpecLike, n: int) -> int:
     return total
 
 
-def _multiply_bounded(coeffs: list[int], bound: int, limit: int) -> list[int]:
-    """Multiply a coefficient list by 1 + x + ... + x^bound, truncated at
-    degree limit.
+def _multiply_bounded(coeffs: list[int], bound: int, limit: int, drop: int = 0) -> list[int]:
+    """Multiply a coefficient list by 1 + x + ... + x^bound, keeping degrees
+    drop..limit, counted from the degree of coeffs[0].
 
-    coeffs holds the nonzero support of a product of such factors, at most
-    limit + 1 long, and so does the result: degrees 0..min(len(coeffs) - 1 +
-    bound, limit). New
+    coeffs holds a window of the nonzero support of a product of such
+    factors, at most limit + 1 long, and so does the result: degrees
+    drop..min(len(coeffs) - 1 + bound, limit), with drop <= bound. New
     coefficient t is the window sum of the old coefficients t-bound..t, taken
     from one prefix-sum pass; past the old support the prefix sums stay flat.
     """
@@ -175,8 +176,35 @@ def _multiply_bounded(coeffs: list[int], bound: int, limit: int) -> list[int]:
     prefix += [prefix[-1]] * (size - len(prefix))
     shift = bound + 1
     if shift >= size:
-        return prefix
-    return prefix[:shift] + list(map(sub, prefix[shift:], prefix))
+        return prefix[drop:]
+    return prefix[drop:shift] + list(map(sub, prefix[shift:], prefix))
+
+
+def _window_fold(
+    bounds: Sequence[int], n: int, trail: list[tuple[int, list[int]]] | None = None
+) -> list[int]:
+    """Fold the factors 1 + x + ... + x^m over bounds, in order, keeping each
+    product at degrees low, low + 1, ..., up to the smaller of n and the
+    bounds folded so far, and return the last product: [the coefficient of
+    x^n]. With trail, append (low, coeffs) to it after each factor.
+
+    Only degrees that can still reach n are kept. low is n minus the bounds
+    still to fold, or 0: from a lower degree even the top degree of every
+    later factor falls short of n. An entry cut off below low could only
+    feed degrees below the next product's low, so the cut loses nothing that
+    is read. Needs n <= sum(bounds).
+    """
+    rest = sum(bounds)
+    low, coeffs = 0, [1]
+    for m in bounds:
+        if m:  # a factor of 1 changes nothing
+            rest -= m
+            cut = n - rest if n > rest else 0
+            coeffs = _multiply_bounded(coeffs, m, n - low, cut - low)
+            low = cut
+        if trail is not None:
+            trail.append((low, coeffs))
+    return coeffs
 
 
 def count_wrong_formula(spec: SpecLike, n: int) -> int:

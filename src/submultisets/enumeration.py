@@ -8,7 +8,10 @@ written by slice assignment, not a Python loop. For small k the last few
 positions are listed once per sum and joined to the rest in C, so most items
 cost no Python step at all. rank and unrank convert between a composition
 and its 0-based position in that order without enumerating, by prefix
-counting against per-suffix count tables.
+counting against per-suffix count tables (Nijenhuis & Wilf, Combinatorial
+Algorithms, 1978). Each table keeps only the sums its suffix can take that
+the positions to its left can still make up to n, so a table is cut from
+below as well as from above.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
-from .core import SpecLike, _is_int, _multiplicities, _multiply_bounded
+from .core import SpecLike, _is_int, _multiplicities, _window_fold
 
 Composition = tuple[int, ...]
 
@@ -35,19 +38,18 @@ BLOCKS_MAX_K = 32
 TAIL_COMBINATIONS = 128
 
 
-def _suffix_tables(a: tuple[int, ...], n: int) -> list[list[int]]:
-    """tables[j][s] = number of ways to finish positions j.. with sum s.
+def _suffix_tables(a: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
+    """tables[j] = (low, counts): counts[s - low] is the number of ways to
+    finish positions j.. with sum s.
 
-    Each table stops at the smaller of n and a_j + ... + a_k: past that sum
-    there is no way to finish, and the count is 0.
+    A table covers the sums from max(0, n - (a_1 + ... + a_{j-1})) to
+    min(n, a_j + ... + a_k). Above that the suffix cannot reach s, and below
+    it the positions to the left cannot make up the rest of n, so rank and
+    unrank never read there. Needs n <= N.
     """
-    tables: list[list[int]] = [[]] * (len(a) + 1)
-    coeffs = [1]
-    tables[len(a)] = coeffs
-    for j in range(len(a) - 1, -1, -1):
-        if a[j] > 0:
-            coeffs = _multiply_bounded(coeffs, a[j], n)
-        tables[j] = coeffs
+    tables = [(0, [1])]
+    _window_fold(a[::-1], n, tables)
+    tables.reverse()
     return tables
 
 
@@ -173,11 +175,12 @@ def rank(spec: SpecLike, n: int, x: Sequence[int]) -> int:
     position = 0
     remaining = n
     for j, chosen in enumerate(x):
-        table = tables[j + 1]
-        # The suffix takes at most len(table) - 1, so x_j is at least lo.
-        lo = max(0, remaining - (len(table) - 1))
-        for v in range(lo, chosen):
-            position += table[remaining - v]
+        low, table = tables[j + 1]
+        # The suffix takes sum remaining - v = low + (top - v), at most
+        # low + len(table) - 1, so v is at least top - len(table) + 1.
+        top = remaining - low
+        for v in range(max(0, top - len(table) + 1), chosen):
+            position += table[top - v]
         remaining -= chosen
     return position
 
@@ -190,17 +193,20 @@ def unrank(spec: SpecLike, n: int, r: int) -> Composition:
     a = _multiplicities(spec, n)
     if not _is_int(r) or r < 0:
         raise ValueError(f"rank must be a non-negative integer, got {r!r}")
+    if n > sum(a):  # no composition, and no table reaches n
+        raise IndexError(f"rank {r} out of range, only 0 compositions")
     tables = _suffix_tables(a, n)
-    total = tables[0][n] if n < len(tables[0]) else 0  # n > N: none at all
+    total = tables[0][1][0]
     if r >= total:
         raise IndexError(f"rank {r} out of range, only {total} compositions")
     out: list[int] = []
     remaining = n
     for j in range(len(a)):
-        table = tables[j + 1]
-        v = max(0, remaining - (len(table) - 1))
+        low, table = tables[j + 1]
+        top = remaining - low
+        v = max(0, top - len(table) + 1)
         while True:
-            below = table[remaining - v]
+            below = table[top - v]
             if r < below:
                 break
             r -= below

@@ -2,7 +2,8 @@
 
 Two methods beside the inclusion-exclusion formula. A generating-function
 dynamic program takes the coefficient of x^n in the product of
-(1 + x + ... + x^{a_j}) over all elements; it shares with the formula only
+(1 + x + ... + x^{a_j}) over all elements, keeping each partial product to
+the degrees from which n is still reachable; it shares with the formula only
 core._normalized, which reduces the instance to n <= N/2 and bounds in
 1..n first, and full_table mirrors the lower half of the same product. A
 count of the lexicographic stream of compositions (exponential,
@@ -23,6 +24,7 @@ from .core import (
     _multiplicities,
     _multiply_bounded,
     _normalized,
+    _window_fold,
     as_spec,
     count_upper_constrained,
 )
@@ -81,31 +83,23 @@ def count_brute_force(spec: SpecLike, n: int, budget: Budget | None = None) -> i
     return sum(1 for _ in iterate(a, n))
 
 
-def _bounded_product_coeffs(multiplicities: tuple[int, ...], limit: int) -> list[int]:
-    """Coefficients of the product of (1 + x + ... + x^{a_j}) from degree 0
-    to the smaller of limit and the sum of the a_j; all higher ones are 0."""
-    coeffs = [1]
-    for m in multiplicities:
-        if m > 0:  # a factor of 1 changes nothing
-            coeffs = _multiply_bounded(coeffs, m, limit)
-    return coeffs
-
-
 def count_dp(spec: SpecLike, n: int) -> int:
     """Count sub-multisets of cardinality n as a generating-function
     coefficient.
 
     Normalizes the instance first (n complemented to at most N/2, bounds
     clamped to n, zero bounds dropped), then convolves the factors
-    (1 + x + ... + x^{a_j}) one element at a time, truncated at degree n
-    since higher coefficients never flow back down. Polynomial cost,
-    arbitrary dimension.
+    (1 + x + ... + x^{a_j}) one element at a time. Each product is kept to
+    the degrees that can still reach n: none above n, since higher
+    coefficients never flow back down, and none below n minus the bounds
+    still to come, which even the largest terms of the later factors cannot
+    lift to n. Polynomial cost, arbitrary dimension.
     """
     instance = _normalized(spec, n)
     if instance is None:
         return 0
     a, n = instance
-    return _bounded_product_coeffs(a, n)[n]
+    return _window_fold(a, n)[0]
 
 
 def full_table(spec: SpecLike) -> CountTable:
@@ -113,10 +107,14 @@ def full_table(spec: SpecLike) -> CountTable:
 
     The table is a palindrome (x_j -> a_j - x_j maps cardinality n to N - n),
     so the product is taken to degree N // 2 and the degrees above mirror it.
+    Every degree up to N // 2 is an entry, so no product is cut from below.
     """
     spec = as_spec(spec)
     total = spec.cardinality
-    half = _bounded_product_coeffs(spec.multiplicities, total // 2)
+    half = [1]
+    for m in spec.multiplicities:
+        if m > 0:  # a factor of 1 changes nothing
+            half = _multiply_bounded(half, m, total // 2)
     return CountTable(spec, tuple(half + half[:total + 1 - len(half)][::-1]))
 
 

@@ -146,6 +146,10 @@ class TestEnumerate:
         assert run(capsys, "enumerate", "-m", "2,3,3", "-n", "5",
                    "--start-rank", "9") == (0, "", "")
 
+    def test_start_rank_with_n_over_total_is_empty(self, capsys):
+        assert run(capsys, "enumerate", "-m", "2,3,3", "-n", "9",
+                   "--start-rank", "3") == (0, "", "")
+
     def test_empty_stream(self, capsys):
         assert run(capsys, "enumerate", "-m", "2,2", "-n", "5") == (0, "", "")
 

@@ -152,6 +152,10 @@ class TestUnrank:
             unrank((2, 3, 3), 5, 9)
         with pytest.raises(IndexError, match="only 0 compositions"):
             unrank((2, 2), 5, 0)  # the stream is empty
+        with pytest.raises(IndexError, match="only 0 compositions"):
+            unrank((0, 2, 0), 3, 0)  # n = N + 1, next to zero bounds
+        with pytest.raises(IndexError, match="only 0 compositions"):
+            unrank((), 1, 0)
 
     def test_negative_rank_rejected(self):
         with pytest.raises(ValueError):
@@ -164,6 +168,24 @@ class TestUnrank:
     def test_reproduces_stream(self):
         a, n = (2, 3, 3), 5
         assert [unrank(a, n, r) for r in range(9)] == NINE
+
+
+class TestSuffixTables:
+    """White-box: the tables rank and unrank read hold only the sums that can
+    still reach n, which no output of theirs would show."""
+
+    def test_each_table_covers_exactly_the_reachable_sums(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            a = tuple(rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(rng.randint(0, 9)))
+            for n in range(sum(a) + 1):
+                tables = enumeration._suffix_tables(a, n)
+                assert len(tables) == len(a) + 1
+                for j, (low, counts) in enumerate(tables):
+                    assert low == max(0, n - sum(a[:j])), (a, n, j)
+                    assert low + len(counts) - 1 == min(n, sum(a[j:])), (a, n, j)
+                    assert counts == [count_upper_constrained(a[j:], s)
+                                      for s in range(low, low + len(counts))]
 
 
 class TestBijection:

@@ -1,6 +1,7 @@
 """Property tests: the normalized, support-trimmed counters against the
 unnormalized brute-force oracle and against each other, the shape of the
-count table, and the enumeration stream at wide dimension."""
+count table, the enumeration stream at wide dimension, and rank/unrank
+against that stream."""
 from itertools import islice
 from math import prod
 from operator import le
@@ -117,3 +118,18 @@ def test_iterate_stream_length_equals_count_dp(a, offset, from_top):
     expected = count_dp(a, n)
     if expected <= 10**4:
         assert sum(1 for _ in iterate(a, n)) == expected
+
+
+@settings(deadline=None, max_examples=80)
+@given(specs(max_k=6, max_bound=4), st.integers(0, 2), st.integers(0, 2))
+def test_rank_unrank_match_the_stream_at_every_n(a, leading, trailing):
+    # Zero bounds at either end put the lower and upper cuts of the suffix
+    # tables next to positions that take nothing.
+    a = (0,) * leading + a + (0,) * trailing
+    total = sum(a)
+    for n in range(total + 1):
+        for i, x in enumerate(iterate(a, n)):
+            assert rank(a, n, x) == i
+            assert unrank(a, n, i) == x
+    with pytest.raises(IndexError):
+        unrank(a, total + 1, 0)
