@@ -12,9 +12,10 @@ what the rest of the package shares: the input gate _multiplicities, which
 every entry point that takes an instance (spec, n) calls first; _normalized,
 which reduces an instance to one with the same count and n <= N/2, bounds at
 most n and no zero bounds; and the window convolution by 1 + x + ... + x^m,
-folded over a spec and kept to the degrees of the product that can still
-reach n, that the dynamic program and the rank tables build on. Everything
-here is a pure function of its arguments.
+folded over a spec onto a given start product and kept to the degrees that
+can still reach n once what remains is multiplied in, that the dynamic
+program, the full table and the rank tables build on. Everything here is a
+pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -181,21 +182,29 @@ def _multiply_bounded(coeffs: list[int], bound: int, limit: int, drop: int = 0) 
 
 
 def _window_fold(
-    bounds: Sequence[int], n: int, trail: list[tuple[int, list[int]]] | None = None
+    bounds: Sequence[int],
+    n: int,
+    trail: list[tuple[int, list[int]]] | None = None,
+    start: list[int] | None = None,
+    reach: int = 0,
 ) -> list[int]:
-    """Fold the factors 1 + x + ... + x^m over bounds, in order, keeping each
-    product at degrees low, low + 1, ..., up to the smaller of n and the
-    bounds folded so far, and return the last product: [the coefficient of
-    x^n]. With trail, append (low, coeffs) to it after each factor.
+    """Fold the factors 1 + x + ... + x^m over bounds, in order, onto start
+    (a product from degree 0, by default [1]), keeping each product at
+    degrees low, low + 1, ..., up to n or its top degree if that is lower,
+    and return the last product. With trail, append (low, coeffs) to it
+    after each factor.
 
-    Only degrees that can still reach n are kept. low is n minus the bounds
-    still to fold, or 0: from a lower degree even the top degree of every
-    later factor falls short of n. An entry cut off below low could only
-    feed degrees below the next product's low, so the cut loses nothing that
-    is read. Needs n <= sum(bounds).
+    Only degrees that can still reach n are kept. reach is the top degree of
+    a product still to be multiplied in after bounds, and low is n minus it
+    and the bounds still to fold, or 0: from a lower degree even their top
+    degrees fall short of n. An entry cut off below low could only feed
+    degrees below the next product's low, so the cut loses nothing that is
+    read. So the last product starts at degree max(0, n - reach): with
+    reach = 0 it is [the coefficient of x^n], and reach >= n cuts nothing.
+    Needs n <= sum(bounds) + reach.
     """
-    rest = sum(bounds)
-    low, coeffs = 0, [1]
+    rest = sum(bounds) + reach
+    low, coeffs = 0, [1] if start is None else start
     for m in bounds:
         if m:  # a factor of 1 changes nothing
             rest -= m

@@ -2,19 +2,23 @@
 
 Two methods beside the inclusion-exclusion formula. A generating-function
 dynamic program takes the coefficient of x^n in the product of
-(1 + x + ... + x^{a_j}) over all elements, keeping each partial product to
-the degrees from which n is still reachable; it shares with the formula only
+(1 + x + ... + x^{a_j}) over all elements. It folds each repeated bound
+once: with Q the product over one of each two equal bounds and R the
+factors left over, the product is Q^2 R, so it folds Q, then R onto Q, and
+ends with one dot product against Q, keeping each partial product to the
+degrees from which n is still reachable. It shares with the formula only
 core._normalized, which reduces the instance to n <= N/2 and bounds in
-1..n first, and full_table mirrors the lower half of the same product. A
-count of the lexicographic stream of compositions (exponential,
-budget-guarded) shares nothing with either: it counts the instance as
-given, so it also checks the normalization. Both serve any dimension; the
-DP is polynomial in it.
+1..n first; full_table folds the same product in ascending order of the
+bounds and mirrors its lower half. A count of the lexicographic stream of
+compositions (exponential, budget-guarded) shares nothing with either: it
+counts the instance as given, so it also checks the normalization. Both
+serve any dimension; the DP is polynomial in it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .core import (
     CountMethod,
@@ -22,7 +26,6 @@ from .core import (
     SpecLike,
     _is_int,
     _multiplicities,
-    _multiply_bounded,
     _normalized,
     _window_fold,
     as_spec,
@@ -88,18 +91,36 @@ def count_dp(spec: SpecLike, n: int) -> int:
     coefficient.
 
     Normalizes the instance first (n complemented to at most N/2, bounds
-    clamped to n, zero bounds dropped), then convolves the factors
-    (1 + x + ... + x^{a_j}) one element at a time. Each product is kept to
-    the degrees that can still reach n: none above n, since higher
-    coefficients never flow back down, and none below n minus the bounds
-    still to come, which even the largest terms of the later factors cannot
-    lift to n. Polynomial cost, arbitrary dimension.
+    clamped to n, zero bounds dropped). A bound that occurs twice gives a
+    squared factor, so the bounds split into two equal halves C and C and
+    the odd ones out R, and the product P of the factors
+    (1 + x + ... + x^{a_j}) is Q^2 R, with Q the product over C. Q is folded
+    in ascending order up to degree min(n, sum(C)), with no lower cut:
+    since n <= N/2, every degree of Q can still reach n. The factors of R
+    are folded onto Q, each product kept to the degrees that can still
+    reach n once the rest of R and the second Q are multiplied in: none
+    above n, and none below n minus the bounds of R still to come and the
+    top degree of Q. That gives F = QR, and the coefficient of x^n in P is
+    the dot product of F[s] with Q[n - s]. Polynomial cost, arbitrary
+    dimension; a spec of equal bounds folds only half of them.
     """
     instance = _normalized(spec, n)
     if instance is None:
         return 0
     a, n = instance
-    return _window_fold(a, n)[0]
+    # Equal bounds sit side by side once sorted: each second one of a run
+    # pairs with the one before it.
+    pairs: list[int] = []
+    odd: list[int] = []
+    for m in sorted(a):
+        if odd and odd[-1] == m:
+            pairs.append(odd.pop())
+        else:
+            odd.append(m)
+    q = _window_fold(pairs, n, reach=n)
+    top = len(q) - 1
+    # F = QR starts at degree n - top or 0, so F[i] meets Q at degree top - i.
+    return sum(map(mul, _window_fold(odd, n, start=q, reach=top), reversed(q)))
 
 
 def full_table(spec: SpecLike) -> CountTable:
@@ -108,13 +129,13 @@ def full_table(spec: SpecLike) -> CountTable:
     The table is a palindrome (x_j -> a_j - x_j maps cardinality n to N - n),
     so the product is taken to degree N // 2 and the degrees above mirror it.
     Every degree up to N // 2 is an entry, so no product is cut from below.
+    The factors are folded in ascending order of their bounds: the product is
+    commutative, and that order gives every partial product the lowest
+    degree any order can, so the fewest cells and the smallest integers.
     """
     spec = as_spec(spec)
     total = spec.cardinality
-    half = [1]
-    for m in spec.multiplicities:
-        if m > 0:  # a factor of 1 changes nothing
-            half = _multiply_bounded(half, m, total // 2)
+    half = _window_fold(sorted(spec.multiplicities), total // 2, reach=total // 2)
     return CountTable(spec, tuple(half + half[:total + 1 - len(half)][::-1]))
 
 

@@ -73,6 +73,13 @@ class TestDp:
         ((3, 3), 100, 0),
         ((10**5, 10**5), 10**5, 10**5 + 1),
         ((10**5, 10**5), 2 * 10**5, 1),
+        # Repeated bounds whose half product alone cannot reach n.
+        ((1, 1, 9), 5, 4),
+        ((2, 2, 3, 9), 7, 36),
+        ((2, 2, 7), 5, 9),
+        ((1, 1, 2, 2, 12), 9, 36),
+        ((3, 3, 3, 20), 13, 64),
+        ((4, 4, 1, 1, 1, 15), 12, 200),
     ])
     def test_golden_values(self, a, n, expected):
         assert count_dp(a, n) == expected

@@ -61,13 +61,35 @@ def test_full_table_equals_brute_force_at_every_n(a):
     assert full_table(a).counts == tuple(count_brute_force(a, n) for n in range(sum(a) + 1))
 
 
-@settings(deadline=None, max_examples=60)
-@given(specs(max_k=8, max_bound=30), st.integers(0, 3), st.integers(0, 60))
-def test_dp_equals_incexc_at_every_n(a, zeros, big):
+@st.composite
+def alphabet_specs(draw, max_k=60, max_bound=5):
+    """Up to max_k bounds drawn from one to three values, so most pair up."""
+    alphabet = draw(st.lists(st.integers(0, max_bound), min_size=1, max_size=3))
+    return tuple(draw(st.lists(st.sampled_from(alphabet), max_size=max_k)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(
+        specs(max_k=8, max_bound=30),
+        alphabet_specs(),
+        st.builds(lambda m, k: (m,) * k, st.integers(0, 12), st.integers(0, 24)),
+        st.lists(st.integers(0, 30), max_size=8, unique=True).map(tuple),
+    ),
+    st.integers(0, 3),
+    st.lists(st.integers(0, 60), max_size=1).map(tuple),
+    st.data(),
+)
+def test_dp_equals_incexc_at_every_n(a, zeros, big, data):
     # Zero bounds and bounds above n are what normalizing drops and clamps.
-    a = a + (0,) * zeros + (big,)
+    # Few values (most bounds pair), all equal (none left over when k is
+    # even and no big bound is drawn) and all distinct (none pair until n
+    # clamps them) put count_dp's split of the bounds at and between its
+    # ends; the split must not depend on the order of the bounds.
+    a = a + (0,) * zeros + big
+    b = data.draw(st.permutations(a))
     for n in range(sum(a) + 2):
-        assert count_dp(a, n) == count_upper_constrained(a, n)
+        assert count_dp(b, n) == count_dp(a, n) == count_upper_constrained(a, n)
 
 
 @settings(deadline=None, max_examples=100)
