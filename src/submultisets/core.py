@@ -11,11 +11,14 @@ weight of each set so that the cost is polynomial in k and n. It also holds
 what the rest of the package shares: the input gate _multiplicities, which
 every entry point that takes an instance (spec, n) calls first; _normalized,
 which reduces an instance to one with the same count and n <= N/2, bounds at
-most n and no zero bounds; and the window convolution by 1 + x + ... + x^m,
+most n and no zero bounds; the window convolution by 1 + x + ... + x^m,
 folded over a spec onto a given start product and kept to the degrees that
 can still reach n once what remains is multiplied in, that the dynamic
-program, the full table and the rank tables build on. Everything here is a
-pure function of its arguments.
+program, the full table and the rank tables build on; and, for specs of many
+bounds but few distinct values, the same product's coefficients by a linear
+recurrence whose length depends only on the distinct bounds, with the one
+cost gate that picks it over the folds. Everything here is a pure function
+of its arguments.
 """
 from __future__ import annotations
 
@@ -214,6 +217,78 @@ def _window_fold(
         if trail is not None:
             trail.append((low, coeffs))
     return coeffs
+
+
+def _by_recurrence(bounds: Sequence[int], n: int) -> list[int]:
+    """The coefficients p_0, ..., p_n of P, the product of the factors
+    1 + x + ... + x^m over bounds, by a linear recurrence whose length
+    depends only on the distinct nonzero bounds, not on how often each
+    occurs.
+
+    P = prod_j (1 - x^{a_j + 1}) / (1 - x)^k is D-finite (Stanley,
+    "Differentiably finite power series", 1980): with c_d the number of
+    bounds equal to d, k = sum c_d, F = prod_d (1 - x^{d + 1}) over the
+    distinct nonzero bounds and H = sum_d c_d (d + 1) x^d F / (1 - x^{d + 1}),
+    its log-derivative gives (1 - x) F P' = [k F - (1 - x) H] P. Comparing
+    the coefficients of x^s gives
+
+        (s + 1) p_{s+1} = sum_{j >= 1} (alpha_j + beta_j s) p_{s+1-j},
+
+    with beta_j = F_{j-1} - F_j and alpha_j = k F_{j-1} - H_{j-1} + H_{j-2}
+    - (j - 1) beta_j, all small integers: one exact division per
+    coefficient and at most 2^{|D| + 1} - 1 terms, of which those with
+    j > n never reach p_n. For c bounds all equal to m there are three:
+    (s + 1) p_{s+1} = (s + c) p_s + (s - m - c(m + 1)) p_{s-m}
+    + (cm + m + 1 - s) p_{s-m-1}.
+    """
+    counts: dict[int, int] = {}
+    for m in bounds:
+        if m:
+            counts[m] = counts.get(m, 0) + 1
+
+    def add(out: dict[int, int], poly: dict[int, int], shift: int, scale: int) -> dict[int, int]:
+        """out + scale x^shift poly, polynomials as {degree: coefficient}."""
+        for i, v in poly.items():
+            out[i + shift] = out.get(i + shift, 0) + scale * v
+        return out
+
+    # F and H one distinct bound at a time, H by the product rule.
+    f: dict[int, int] = {0: 1}
+    h: dict[int, int] = {}
+    for d, c in counts.items():
+        f, h = add(dict(f), f, d + 1, -1), add(add(dict(h), h, d + 1, -1), f, d, c * (d + 1))
+    k = sum(counts.values())
+    terms = []
+    for j in range(1, min(n, max(f) + 1) + 1):  # H has degree max(f) - 1
+        slope = f.get(j - 1, 0) - f.get(j, 0)
+        const = k * f.get(j - 1, 0) - h.get(j - 1, 0) + h.get(j - 2, 0) - (j - 1) * slope
+        if const or slope:
+            terms.append((j, const, slope))
+    # p is padded with zeros below degree 0, so term j reads p[s + width + 1 - j].
+    width = terms[-1][0] if terms else 0
+    terms = [(width + 1 - j, const, slope) for j, const, slope in terms]
+    p = [0] * width + [1]
+    for s in range(n):
+        total = 0
+        for offset, const, slope in terms:
+            total += (const + slope * s) * p[s + offset]
+        p.append(total // (s + 1))
+    return p[width:]
+
+
+def _recurrence_pays(bounds: Sequence[int], folds: int) -> bool:
+    """True when _by_recurrence over bounds, nonzero, costs less than a
+    window fold of folds factors to the same degree.
+
+    Both costs grow with the degree: a fold by about folds cells per degree,
+    the recurrence by its T <= 2^{|D| + 1} - 1 terms, each a Python step
+    and so about four times a cell. The crossover, measured for full tables
+    and for count_dp's trimmed paired fold with one to six distinct bounds
+    and k up to 320, lies near or below folds = 12 * 2^|D| wherever it fell
+    in that range. Specs with fewer than 24 folds never pay, so they cost
+    one comparison here.
+    """
+    return folds >= 24 and 12 << len(set(bounds)) <= folds
 
 
 def count_wrong_formula(spec: SpecLike, n: int) -> int:

@@ -6,10 +6,14 @@ dynamic program takes the coefficient of x^n in the product of
 once: with Q the product over one of each two equal bounds and R the
 factors left over, the product is Q^2 R, so it folds Q, then R onto Q, and
 ends with one dot product against Q, keeping each partial product to the
-degrees from which n is still reachable. It shares with the formula only
-core._normalized, which reduces the instance to n <= N/2 and bounds in
-1..n first; full_table folds the same product in ascending order of the
-bounds and mirrors its lower half. A count of the lexicographic stream of
+degrees from which n is still reachable. When many bounds share few values,
+core._recurrence_pays sends it instead to core._by_recurrence, which steps
+through the product's coefficients by a linear recurrence as long as the
+distinct bounds make it. It shares with the formula only core._normalized,
+which reduces the instance to n <= N/2 and bounds in 1..n first;
+full_table takes the same product to degree N/2, by the recurrence under the
+same gate or else folded in ascending order of the bounds, and mirrors its
+lower half. A count of the lexicographic stream of
 compositions (exponential, budget-guarded) shares nothing with either: it
 counts the instance as given, so it also checks the normalization. Both
 serve any dimension; the DP is polynomial in it.
@@ -24,9 +28,11 @@ from .core import (
     CountMethod,
     MultisetSpec,
     SpecLike,
+    _by_recurrence,
     _is_int,
     _multiplicities,
     _normalized,
+    _recurrence_pays,
     _window_fold,
     as_spec,
     count_upper_constrained,
@@ -103,6 +109,11 @@ def count_dp(spec: SpecLike, n: int) -> int:
     top degree of Q. That gives F = QR, and the coefficient of x^n in P is
     the dot product of F[s] with Q[n - s]. Polynomial cost, arbitrary
     dimension; a spec of equal bounds folds only half of them.
+
+    When those folds outnumber what the recurrence of core._by_recurrence
+    costs, which depends on the distinct bounds only (core._recurrence_pays),
+    p_n is taken from that recurrence instead: (50,) * 200 at n = 5000 is
+    5000 steps of three terms, not 100 folds. Both give the same count.
     """
     instance = _normalized(spec, n)
     if instance is None:
@@ -117,6 +128,8 @@ def count_dp(spec: SpecLike, n: int) -> int:
             pairs.append(odd.pop())
         else:
             odd.append(m)
+    if _recurrence_pays(a, len(pairs) + len(odd)):
+        return _by_recurrence(a, n)[n]
     q = _window_fold(pairs, n, reach=n)
     top = len(q) - 1
     # F = QR starts at degree n - top or 0, so F[i] meets Q at degree top - i.
@@ -128,14 +141,21 @@ def full_table(spec: SpecLike) -> CountTable:
 
     The table is a palindrome (x_j -> a_j - x_j maps cardinality n to N - n),
     so the product is taken to degree N // 2 and the degrees above mirror it.
-    Every degree up to N // 2 is an entry, so no product is cut from below.
-    The factors are folded in ascending order of their bounds: the product is
-    commutative, and that order gives every partial product the lowest
-    degree any order can, so the fewest cells and the smallest integers.
+    Every degree up to N // 2 is an entry. Where the cost gate of count_dp
+    says the recurrence is cheaper than folding every nonzero bound, as for
+    (50,) * 200, the product comes from core._by_recurrence. Otherwise the
+    factors are folded in ascending order of their bounds, with no product
+    cut from below: the product is commutative, and that order gives every
+    partial product the lowest degree any order can, so the fewest cells and
+    the smallest integers.
     """
     spec = as_spec(spec)
     total = spec.cardinality
-    half = _window_fold(sorted(spec.multiplicities), total // 2, reach=total // 2)
+    a = [m for m in spec.multiplicities if m]
+    if _recurrence_pays(a, len(a)):
+        half = _by_recurrence(a, total // 2)
+    else:
+        half = _window_fold(sorted(a), total // 2, reach=total // 2)
     return CountTable(spec, tuple(half + half[:total + 1 - len(half)][::-1]))
 
 

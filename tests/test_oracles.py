@@ -17,7 +17,11 @@ from submultisets import (
     count_upper_constrained,
     cross_check,
     full_table,
+    oracles,
 )
+from submultisets.core import _by_recurrence
+
+WIDE = (50,) * 200
 
 
 def dumb_count(a, n):
@@ -80,9 +84,34 @@ class TestDp:
         ((1, 1, 2, 2, 12), 9, 36),
         ((3, 3, 3, 20), 13, 64),
         ((4, 4, 1, 1, 1, 15), 12, 200),
+        # A deck of cards by rank: the rank patterns of a five-card hand,
+        # counted by brute force.
+        ((4,) * 13, 5, 6175),
+        # Routed to the recurrence; past n = 50 one bound can be exceeded.
+        (WIDE, 0, 1),
+        (WIDE, 1, 200),
+        (WIDE, 51, comb(250, 51) - 200),
     ])
     def test_golden_values(self, a, n, expected):
         assert count_dp(a, n) == expected
+
+    def test_gate_routes_only_wide_specs_of_few_distinct_bounds(self, monkeypatch):
+        calls = []
+
+        def spy(bounds, n):
+            calls.append(n)
+            return _by_recurrence(bounds, n)
+
+        monkeypatch.setattr(oracles, "_by_recurrence", spy)
+        assert count_dp(WIDE, 5000) == count_upper_constrained(WIDE, 5000)
+        assert full_table(WIDE)[5000] == count_upper_constrained(WIDE, 5000)
+        assert calls == [5000, 5000]
+        # Few bounds, or many that are mostly distinct, keep the folds.
+        count_dp((2, 3, 3), 5)
+        full_table((5, 9, 14) * 5)
+        count_dp(tuple(range(1, 60)), 800)
+        full_table(tuple(range(1, 60)) * 2)
+        assert calls == [5000, 5000]
 
     @pytest.mark.parametrize("k,n", [(5, 2), (10, 0), (10, 10), (12, 7)])
     def test_unit_multiplicities_give_subsets(self, k, n):
@@ -120,6 +149,15 @@ class TestFullTable:
 
     def test_counterexample_entry(self):
         assert full_table((2, 3, 3))[5] == 9
+
+    @pytest.fixture(scope="class")
+    def wide_table(self):
+        return full_table(WIDE)
+
+    @pytest.mark.parametrize("n", [0, 1, 51, 2500, 5000])
+    def test_wide_table_entries(self, wide_table, n):
+        # The recurrence's table, against inclusion-exclusion and its mirror.
+        assert wide_table[n] == wide_table[len(wide_table) - 1 - n] == count_upper_constrained(WIDE, n)
 
     def test_matches_per_n_counts(self):
         for a in [(2, 3, 3), (0, 4), (1, 1, 1), (6,)]:

@@ -1,13 +1,15 @@
 """Property tests: the normalized, support-trimmed counters against the
-unnormalized brute-force oracle and against each other, the shape of the
-count table, the enumeration stream at wide dimension, and rank/unrank
-against that stream."""
+unnormalized brute-force oracle and against each other, the recurrence
+kernel against the window fold and either route of count_dp and full_table
+against the other, the shape of the count table, the enumeration stream at
+wide dimension, and rank/unrank against that stream."""
+from contextlib import contextmanager
 from itertools import islice
 from math import prod
 from operator import le
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from submultisets import (
@@ -16,9 +18,11 @@ from submultisets import (
     count_upper_constrained,
     full_table,
     iterate,
+    oracles,
     rank,
     unrank,
 )
+from submultisets.core import _by_recurrence, _window_fold
 
 
 @st.composite
@@ -93,9 +97,74 @@ def test_dp_equals_incexc_at_every_n(a, zeros, big, data):
 
 
 @settings(deadline=None, max_examples=100)
-@given(specs(max_k=30, max_bound=10))
-def test_full_table_sums_to_the_number_of_sub_multisets(a):
-    assert sum(full_table(a).counts) == prod(m + 1 for m in a)
+@given(
+    st.one_of(
+        specs(max_k=8, max_bound=12),
+        alphabet_specs(max_k=40, max_bound=8),
+        st.lists(st.integers(0, 20), max_size=7, unique=True).map(tuple),
+    )
+)
+def test_recurrence_equals_window_fold_at_every_n(a):
+    # Called directly, whatever the gate would pick; the recurrence drops
+    # its terms that reach further back than n, so each n is its own call.
+    for n in range(sum(a) + 1):
+        assert _by_recurrence(a, n) == _window_fold(sorted(a), n, reach=n)
+
+
+@contextmanager
+def gate_forced(on):
+    """count_dp and full_table take the recurrence (on) or the window folds
+    (off) for every spec, whatever the cost gate says."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_recurrence_pays", lambda bounds, folds: on)
+        yield
+
+
+@st.composite
+def routed_specs(draw):
+    """Specs of the kind the gate sends to the recurrence: 24 to 300 bounds
+    from one to three values, with zero bounds mixed in. The values are at
+    most 300 / k, which keeps N <= 300 and so the inclusion-exclusion
+    reference at every n affordable."""
+    k = draw(st.integers(24, 300))
+    alphabet = draw(st.lists(st.integers(1, max(1, 300 // k)), min_size=1, max_size=3))
+    rng = draw(st.randoms(use_true_random=False))
+    a = [rng.choice(alphabet) for _ in range(k)]
+    a += [0] * draw(st.integers(0, 3))
+    rng.shuffle(a)
+    return tuple(a)
+
+
+@settings(deadline=None, max_examples=10)
+@given(routed_specs())
+def test_routed_count_dp_equals_incexc_at_every_n(a):
+    # Each n is checked in turn, so a wrong route fails at its first wrong
+    # count. count_upper_constrained normalizes n to min(n, N - n) first, so
+    # its lower half, taken once, holds its value at every n.
+    total = sum(a)
+    half = []
+    for n in range(total + 2):
+        if n <= total // 2:
+            half.append(count_upper_constrained(a, n))
+        expected = half[min(n, total - n)] if n <= total else 0
+        for on in (True, False):
+            with gate_forced(on):
+                assert count_dp(a, n) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(specs(max_k=30, max_bound=10), routed_specs()), st.data())
+def test_full_table_sums_to_the_number_of_sub_multisets(a, data):
+    # Either route, recurrence or folds, must give the same table, summing to
+    # prod(a_j + 1) and matching inclusion-exclusion at sampled n.
+    tables = []
+    for on in (True, False):
+        with gate_forced(on):
+            tables.append(full_table(a).counts)
+    assert tables[0] == tables[1] == full_table(a).counts
+    assert sum(tables[0]) == prod(m + 1 for m in a)
+    for n in data.draw(st.lists(st.integers(0, sum(a)), max_size=4)):
+        assert tables[0][n] == count_upper_constrained(a, n)
 
 
 @settings(deadline=None, max_examples=100)
@@ -131,15 +200,21 @@ def test_iterate_prefix_strictly_increasing_and_valid(a, data):
     assert all(sum(x) == n and all(map(le, x, a)) for x in head)
 
 
-@settings(deadline=None, max_examples=40)
+# Without the shrink phase: shrinking a failure here tries hundreds of wide
+# specs, each listing up to 10^4 + 1 tuples of up to 2000 entries, which took
+# minutes; the failing example is reported as drawn instead.
+@settings(deadline=None, max_examples=40, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(wide_specs(), st.integers(0, 4), st.booleans())
 def test_iterate_stream_length_equals_count_dp(a, offset, from_top):
-    # n within 4 of 0 or of N + 1 keeps count_dp cheap at any k; the stream
-    # is listed in full whenever it has at most 10^4 items.
+    # n within 4 of 0 or of N + 1 keeps count_dp cheap at any k. The stream
+    # is cut after 10^4 + 1 items, so a wrong count_dp cannot make the test
+    # list more than that: it must read the full length up to 10^4 items and
+    # run past 10^4 exactly when count_dp says so.
     n = max(0, sum(a) + 1 - offset) if from_top else offset
+    cap = 10**4
+    listed = sum(1 for _ in islice(iterate(a, n), cap + 1))
     expected = count_dp(a, n)
-    if expected <= 10**4:
-        assert sum(1 for _ in iterate(a, n)) == expected
+    assert listed == (expected if expected <= cap else cap + 1)
 
 
 @settings(deadline=None, max_examples=80)
