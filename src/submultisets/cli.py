@@ -1,23 +1,24 @@
 """Command-line front end.
 
-    submultisets count     -m 5,9,14 -n 12 [--method incexc|dp|brute]
+    submultisets count     -m 5,9,14 -n 12 [--method incexc|dp|brute] [--budget B]
     submultisets table     -m 5,9,14
     submultisets enumerate -m 2,3,3 -n 5 [--limit K] [--start-rank R]
     submultisets check     -m 5,9,14 -n 12 [--budget B]
 
+Every subcommand also takes --format text|json|csv (default text).
 Results go to stdout, diagnostics to stderr (check notes each skipped method
 and why there). Exit codes: 0 success, 2
 malformed input, 3 brute force over its budget, 4 cross-check disagreement.
 Counts in JSON output are decimal strings, since they routinely exceed the
-integer range of downstream consumers.
+integer range of downstream consumers. json is imported only by the branches
+that print it, since most processes print text.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections.abc import Sequence
 from itertools import islice
-from typing import Sequence
 
 from .core import CountMethod, MultisetSpec
 from .enumeration import iterate, unrank
@@ -103,6 +104,7 @@ def _budget_of(args: argparse.Namespace) -> Budget | None:
 def _run_count(args: argparse.Namespace) -> int:
     value = count(args.multiplicities, args.n, method=args.method, budget=_budget_of(args))
     if args.format == "json":
+        import json
         print(json.dumps({"count": str(value)}))
     else:
         print(value)
@@ -112,6 +114,7 @@ def _run_count(args: argparse.Namespace) -> int:
 def _run_table(args: argparse.Namespace) -> int:
     table = full_table(args.multiplicities)
     if args.format == "json":
+        import json
         print(json.dumps([str(c) for c in table.counts]))
     else:
         for n, c in enumerate(table.counts):
@@ -152,6 +155,7 @@ def _run_check(args: argparse.Namespace) -> int:
         if m in report.skipped:
             print(f"note: {m.value} skipped: {report.skipped[m]}", file=sys.stderr)
     if args.format == "json":
+        import json
         payload: dict[str, object] = {
             m.value: (str(report.values[m]) if m in report.values else None)
             for m in CountMethod

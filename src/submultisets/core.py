@@ -8,7 +8,9 @@ cardinality n for every integer vector (x_1, ..., x_k) with
 This module counts those vectors exactly, in arbitrary precision, by
 inclusion-exclusion over the set of violated upper bounds, summed by the
 weight of each set so that the cost is polynomial in k and n. It also holds
-what the rest of the package shares: the input gate _multiplicities, which
+what the rest of the package shares: _Value, the immutable base of its
+value classes, plain slotted classes rather than dataclasses so that
+importing the package stays cheap; the input gate _multiplicities, which
 every entry point that takes an instance (spec, n) calls first; _normalized,
 which reduces an instance to one with the same count and n <= N/2, bounds at
 most n and no zero bounds; the window convolution by 1 + x + ... + x^m,
@@ -23,11 +25,10 @@ of its arguments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate
 from math import comb
 from operator import sub
-from typing import Sequence, Union
 
 
 def _is_int(value: object) -> bool:
@@ -36,8 +37,41 @@ def _is_int(value: object) -> bool:
     return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
-@dataclass(frozen=True)
-class MultisetSpec:
+class _Value:
+    """Base of the package's value classes. A subclass names its fields in
+    __slots__, in constructor order, and sets each once in __init__ through
+    object.__setattr__; after that the instance is immutable, equal to an
+    instance of the same class with equal fields, hashed, shown and pickled
+    by those fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+class MultisetSpec(_Value):
     """A multiset given by its element multiplicities (a_1, ..., a_k).
 
     The order of entries fixes the position meaning everywhere else in the
@@ -45,10 +79,11 @@ class MultisetSpec:
     zero; a zero-multiplicity element simply forces x_j = 0.
     """
 
+    __slots__ = ("multiplicities",)
     multiplicities: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        mults = tuple(self.multiplicities)
+    def __init__(self, multiplicities: Sequence[int]) -> None:
+        mults = tuple(multiplicities)
         for m in mults:
             if not _is_int(m):
                 raise ValueError(f"multiplicity must be an integer, got {m!r}")
@@ -67,7 +102,7 @@ class MultisetSpec:
         return sum(self.multiplicities)
 
 
-SpecLike = Union[MultisetSpec, Sequence[int]]
+SpecLike = MultisetSpec | Sequence[int]
 
 
 def as_spec(value: SpecLike) -> MultisetSpec:

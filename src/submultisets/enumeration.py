@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .core import SpecLike, _is_int, _multiplicities, _window_fold
 

@@ -20,7 +20,6 @@ serve any dimension; the DP is polynomial in it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import mul
 
@@ -33,6 +32,7 @@ from .core import (
     _multiplicities,
     _normalized,
     _recurrence_pays,
+    _Value,
     _window_fold,
     as_spec,
     count_upper_constrained,
@@ -47,24 +47,28 @@ class BudgetExceededError(Exception):
     """The brute-force oracle would visit more compositions than allowed."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(_Value):
     """Upper bound on compositions the brute-force oracle may visit."""
 
-    max_items: int = DEFAULT_BUDGET_ITEMS
+    __slots__ = ("max_items",)
+    max_items: int
 
-    def __post_init__(self) -> None:
-        v = self.max_items
-        if not _is_int(v) or v < 1:
-            raise ValueError(f"max_items must be a positive integer, got {v!r}")
+    def __init__(self, max_items: int = DEFAULT_BUDGET_ITEMS) -> None:
+        if not _is_int(max_items) or max_items < 1:
+            raise ValueError(f"max_items must be a positive integer, got {max_items!r}")
+        object.__setattr__(self, "max_items", max_items)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Value):
     """Per-cardinality sub-multiset counts for one spec, indexed by n (0..N)."""
 
+    __slots__ = ("spec", "counts")
     spec: MultisetSpec
     counts: tuple[int, ...]
+
+    def __init__(self, spec: MultisetSpec, counts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -159,14 +163,21 @@ def full_table(spec: SpecLike) -> CountTable:
     return CountTable(spec, tuple(half + half[:total + 1 - len(half)][::-1]))
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(_Value):
     """Outcome of running every applicable counting method on one instance."""
 
+    __slots__ = ("spec", "n", "values", "skipped")
     spec: MultisetSpec
     n: int
     values: dict[CountMethod, int]
     skipped: dict[CountMethod, str]
+
+    def __init__(self, spec: MultisetSpec, n: int, values: dict[CountMethod, int],
+                 skipped: dict[CountMethod, str]) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "skipped", skipped)
 
     @property
     def agree(self) -> bool:

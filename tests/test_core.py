@@ -1,4 +1,5 @@
 """Closed-form counting: golden values, identities and error contracts."""
+import pickle
 from itertools import product
 from math import comb, factorial, prod
 
@@ -43,6 +44,27 @@ class TestMultisetSpec:
     def test_invalid_multiplicities_rejected(self, bad):
         with pytest.raises(ValueError):
             MultisetSpec(bad)
+
+    def test_equal_and_hashed_by_multiplicities(self):
+        spec = MultisetSpec((1, 2))
+        assert spec == MultisetSpec([1, 2])
+        assert hash(spec) == hash(MultisetSpec([1, 2]))
+        assert len({spec, MultisetSpec([1, 2]), MultisetSpec((2, 1))}) == 2
+        assert spec != (1, 2)
+        assert spec != MultisetSpec((1, 2, 0))
+
+    def test_immutable(self):
+        spec = MultisetSpec((1, 2))
+        with pytest.raises(AttributeError):
+            spec.multiplicities = (3,)
+        with pytest.raises(AttributeError):
+            del spec.multiplicities
+        assert spec.multiplicities == (1, 2)
+
+    def test_repr_and_pickle_round_trip(self):
+        spec = MultisetSpec((5, 0, 14))
+        assert eval(repr(spec), {"MultisetSpec": MultisetSpec}) == spec
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_as_spec_passthrough_and_coercion(self):
         spec = MultisetSpec((1, 2))

@@ -6,10 +6,12 @@ from math import comb, prod
 import pytest
 
 from submultisets import (
+    DEFAULT_BUDGET_ITEMS,
     AgreementReport,
     Budget,
     BudgetExceededError,
     CountMethod,
+    CountTable,
     MultisetSpec,
     count,
     count_brute_force,
@@ -65,6 +67,34 @@ class TestBruteForce:
         for flag in (True, False):  # bool is an int subclass, not a count
             with pytest.raises(ValueError):
                 Budget(flag)
+
+
+class TestValueClasses:
+    def test_budget(self):
+        assert Budget().max_items == DEFAULT_BUDGET_ITEMS
+        assert Budget(7).max_items == 7
+        assert Budget(7) == Budget(max_items=7) != Budget(8)
+        with pytest.raises(AttributeError):
+            Budget(7).max_items = 8
+
+    def test_count_table(self):
+        table = full_table((1, 1))
+        assert table.spec == MultisetSpec((1, 1))
+        assert table.counts == (1, 2, 1)
+        assert table == CountTable(MultisetSpec((1, 1)), (1, 2, 1))
+        assert table != CountTable(MultisetSpec((2,)), (1, 2, 1))
+        with pytest.raises(AttributeError):
+            table.counts = (1,)
+
+    def test_agreement_report(self):
+        report = cross_check((2, 3, 3), 5)
+        assert (report.spec, report.n, report.skipped) == (MultisetSpec((2, 3, 3)), 5, {})
+        assert report.values == {method: 9 for method in CountMethod}
+        assert report.agree
+        assert report == AgreementReport(MultisetSpec((2, 3, 3)), 5, dict(report.values), {})
+        assert report != AgreementReport(MultisetSpec((2, 3, 3)), 4, dict(report.values), {})
+        with pytest.raises(AttributeError):
+            report.n = 4
 
 
 class TestDp:
