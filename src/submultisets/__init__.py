@@ -17,7 +17,6 @@ from .enumeration import iterate, rank, unrank
 from .oracles import (
     DEFAULT_BUDGET_ITEMS,
     AgreementReport,
-    Budget,
     BudgetExceededError,
     CountTable,
     count,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgreementReport",
-    "Budget",
     "BudgetExceededError",
     "CountMethod",
     "CountTable",

@@ -6,6 +6,8 @@
     submultisets check     -m 5,9,14 -n 12 [--budget B]
 
 Every subcommand also takes --format text|json|csv (default text).
+--budget B, a positive integer (default 10^7), caps the compositions brute
+force may visit; count and check hand it to the library as a plain int.
 Results go to stdout, diagnostics to stderr (check notes each skipped method
 and why there). Exit codes: 0 success, 2
 malformed input, 3 brute force over its budget, 4 cross-check disagreement.
@@ -22,7 +24,7 @@ from itertools import islice
 
 from .core import CountMethod, MultisetSpec
 from .enumeration import iterate, unrank
-from .oracles import Budget, BudgetExceededError, count, cross_check, full_table
+from .oracles import DEFAULT_BUDGET_ITEMS, BudgetExceededError, count, cross_check, full_table
 
 
 def multiplicity_list(text: str) -> MultisetSpec:
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=[m.value for m in CountMethod], default=CountMethod.DYNAMIC_PROGRAMMING.value,
         help="counting algorithm (default dp)",
     )
-    p_count.add_argument("--budget", type=positive_int, default=None,
+    p_count.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET_ITEMS,
                          help="max compositions the brute method may visit")
 
     p_table = sub.add_parser("table", help="print counts for every cardinality 0..N")
@@ -91,18 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run all applicable methods and compare")
     instance_args(p_check)
-    p_check.add_argument("--budget", type=positive_int, default=None,
+    p_check.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET_ITEMS,
                          help="max compositions the brute method may visit")
 
     return parser
 
 
-def _budget_of(args: argparse.Namespace) -> Budget | None:
-    return Budget(args.budget) if args.budget is not None else None
-
-
 def _run_count(args: argparse.Namespace) -> int:
-    value = count(args.multiplicities, args.n, method=args.method, budget=_budget_of(args))
+    value = count(args.multiplicities, args.n, method=args.method, budget=args.budget)
     if args.format == "json":
         import json
         print(json.dumps({"count": str(value)}))
@@ -150,7 +148,7 @@ def _run_enumerate(args: argparse.Namespace) -> int:
 
 
 def _run_check(args: argparse.Namespace) -> int:
-    report = cross_check(args.multiplicities, args.n, _budget_of(args))
+    report = cross_check(args.multiplicities, args.n, args.budget)
     for m in CountMethod:
         if m in report.skipped:
             print(f"note: {m.value} skipped: {report.skipped[m]}", file=sys.stderr)

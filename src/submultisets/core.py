@@ -91,16 +91,6 @@ class MultisetSpec(_Value):
                 raise ValueError(f"multiplicity must be non-negative, got {m}")
         object.__setattr__(self, "multiplicities", mults)
 
-    @property
-    def dimension(self) -> int:
-        """Number of distinct elements, k."""
-        return len(self.multiplicities)
-
-    @property
-    def cardinality(self) -> int:
-        """Total number of items counting repeats, N = sum of multiplicities."""
-        return sum(self.multiplicities)
-
 
 SpecLike = MultisetSpec | Sequence[int]
 

@@ -11,10 +11,11 @@ core._recurrence_pays sends it instead to core._by_recurrence, which steps
 through the product's coefficients by a linear recurrence as long as the
 distinct bounds make it. It shares with the formula only core._normalized,
 which reduces the instance to n <= N/2 and bounds in 1..n first;
-full_table takes the same product to degree N/2, by the recurrence under the
-same gate or else folded in ascending order of the bounds, and mirrors its
-lower half. A count of the lexicographic stream of
-compositions (exponential, budget-guarded) shares nothing with either: it
+full_table normalizes (spec, N // 2) the same way, takes the product to that
+degree, by the recurrence under the same gate or else folded in ascending
+order of the bounds, and mirrors its lower half. A count of the
+lexicographic stream of compositions (exponential, and refused over a budget
+of candidate vectors, a plain positive int) shares nothing with either: it
 counts the instance as given, so it also checks the normalization. Both
 serve any dimension; the DP is polynomial in it.
 """
@@ -25,7 +26,6 @@ from operator import mul
 
 from .core import (
     CountMethod,
-    MultisetSpec,
     SpecLike,
     _by_recurrence,
     _is_int,
@@ -47,27 +47,20 @@ class BudgetExceededError(Exception):
     """The brute-force oracle would visit more compositions than allowed."""
 
 
-class Budget(_Value):
-    """Upper bound on compositions the brute-force oracle may visit."""
-
-    __slots__ = ("max_items",)
-    max_items: int
-
-    def __init__(self, max_items: int = DEFAULT_BUDGET_ITEMS) -> None:
-        if not _is_int(max_items) or max_items < 1:
-            raise ValueError(f"max_items must be a positive integer, got {max_items!r}")
-        object.__setattr__(self, "max_items", max_items)
+def _check_budget(budget: int) -> None:
+    """Refuse, with ValueError, a budget that is not a positive int (a bool
+    is no count)."""
+    if not _is_int(budget) or budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget!r}")
 
 
 class CountTable(_Value):
-    """Per-cardinality sub-multiset counts for one spec, indexed by n (0..N)."""
+    """Per-cardinality sub-multiset counts, indexed by n (0..N)."""
 
-    __slots__ = ("spec", "counts")
-    spec: MultisetSpec
+    __slots__ = ("counts",)
     counts: tuple[int, ...]
 
-    def __init__(self, spec: MultisetSpec, counts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "spec", spec)
+    def __init__(self, counts: tuple[int, ...]) -> None:
         object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
@@ -77,21 +70,21 @@ class CountTable(_Value):
         return self.counts[n]
 
 
-def count_brute_force(spec: SpecLike, n: int, budget: Budget | None = None) -> int:
+def count_brute_force(spec: SpecLike, n: int, budget: int = DEFAULT_BUDGET_ITEMS) -> int:
     """Count sub-multisets of cardinality n by explicit enumeration.
 
     Counts the items of the iterate stream, a loop with no recursion, so the
     work is proportional to the number of compositions listed. Refuses to
-    start when the instance estimate prod(a_j + 1) exceeds the budget.
+    start when the instance estimate prod(a_j + 1) exceeds the budget, a
+    positive int (ValueError otherwise).
     """
+    _check_budget(budget)
     a = _multiplicities(spec, n)
-    if budget is None:
-        budget = Budget()
     estimate = prod(m + 1 for m in a)
-    if estimate > budget.max_items:
+    if estimate > budget:
         raise BudgetExceededError(
             f"instance has an estimated {estimate} compositions, over the "
-            f"budget of {budget.max_items}"
+            f"budget of {budget}"
         )
     return sum(1 for _ in iterate(a, n))
 
@@ -145,37 +138,33 @@ def full_table(spec: SpecLike) -> CountTable:
 
     The table is a palindrome (x_j -> a_j - x_j maps cardinality n to N - n),
     so the product is taken to degree N // 2 and the degrees above mirror it.
-    Every degree up to N // 2 is an entry. Where the cost gate of count_dp
-    says the recurrence is cheaper than folding every nonzero bound, as for
-    (50,) * 200, the product comes from core._by_recurrence. Otherwise the
-    factors are folded in ascending order of their bounds, with no product
-    cut from below: the product is commutative, and that order gives every
-    partial product the lowest degree any order can, so the fewest cells and
-    the smallest integers.
+    Every degree up to N // 2 is an entry, so the instance is (spec, N // 2),
+    normalized as count_dp's is. Where the cost gate of count_dp says the
+    recurrence is cheaper than folding every bound, as for (50,) * 200, the
+    product comes from core._by_recurrence. Otherwise the factors are folded
+    in ascending order of their bounds, with no product cut from below: the
+    product is commutative, and that order gives every partial product the
+    lowest degree any order can, so the fewest cells and the smallest
+    integers.
     """
     spec = as_spec(spec)
-    total = spec.cardinality
-    a = [m for m in spec.multiplicities if m]
+    total = sum(spec.multiplicities)
+    a, n = _normalized(spec, total // 2)
     if _recurrence_pays(a, len(a)):
-        half = _by_recurrence(a, total // 2)
+        half = _by_recurrence(a, n)
     else:
-        half = _window_fold(sorted(a), total // 2, reach=total // 2)
-    return CountTable(spec, tuple(half + half[:total + 1 - len(half)][::-1]))
+        half = _window_fold(sorted(a), n, reach=n)
+    return CountTable(tuple(half + half[:total + 1 - len(half)][::-1]))
 
 
 class AgreementReport(_Value):
     """Outcome of running every applicable counting method on one instance."""
 
-    __slots__ = ("spec", "n", "values", "skipped")
-    spec: MultisetSpec
-    n: int
+    __slots__ = ("values", "skipped")
     values: dict[CountMethod, int]
     skipped: dict[CountMethod, str]
 
-    def __init__(self, spec: MultisetSpec, n: int, values: dict[CountMethod, int],
-                 skipped: dict[CountMethod, str]) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "n", n)
+    def __init__(self, values: dict[CountMethod, int], skipped: dict[CountMethod, str]) -> None:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "skipped", skipped)
 
@@ -188,11 +177,13 @@ def count(
     spec: SpecLike,
     n: int,
     method: CountMethod | str = CountMethod.DYNAMIC_PROGRAMMING,
-    budget: Budget | None = None,
+    budget: int = DEFAULT_BUDGET_ITEMS,
 ) -> int:
     """Count sub-multisets of cardinality n with the chosen method, given as
     a CountMethod member or its value ("incexc", "dp", "brute"); any other
-    method raises ValueError."""
+    method raises ValueError. budget caps brute force; whatever the method,
+    it must be a positive int, or ValueError is raised."""
+    _check_budget(budget)
     method = CountMethod(method)
     if method is CountMethod.INCLUSION_EXCLUSION:
         return count_upper_constrained(spec, n)
@@ -201,13 +192,15 @@ def count(
     return count_dp(spec, n)
 
 
-def cross_check(spec: SpecLike, n: int, budget: Budget | None = None) -> AgreementReport:
+def cross_check(spec: SpecLike, n: int, budget: int = DEFAULT_BUDGET_ITEMS) -> AgreementReport:
     """Run every method on one instance and report their values.
 
     Inclusion-exclusion and the DP always run. Brute force refuses an
     instance over its budget; that is recorded as skipped, not failed, and
-    the report's agree flag covers the methods that actually ran.
+    the report's agree flag covers the methods that actually ran. An invalid
+    budget is refused with ValueError before any method runs.
     """
+    _check_budget(budget)
     spec = as_spec(spec)
     values = {
         CountMethod.INCLUSION_EXCLUSION: count_upper_constrained(spec, n),
@@ -218,4 +211,4 @@ def cross_check(spec: SpecLike, n: int, budget: Budget | None = None) -> Agreeme
         values[CountMethod.BRUTE_FORCE] = count_brute_force(spec, n, budget)
     except BudgetExceededError as exc:
         skipped[CountMethod.BRUTE_FORCE] = str(exc)
-    return AgreementReport(spec, n, values, skipped)
+    return AgreementReport(values, skipped)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from submultisets import AgreementReport, CountMethod, MultisetSpec
+from submultisets import AgreementReport, CountMethod
 from submultisets import cli
 from submultisets.cli import main
 
@@ -99,6 +99,12 @@ class TestCountErrors:
                              "--method", "brute", "--budget", "1")
         assert (code, out) == (3, "")
         assert "budget" in err
+
+    @pytest.mark.parametrize("command", ["count", "check"])
+    def test_zero_budget_is_malformed(self, capsys, command):
+        code, out, err = run(capsys, command, "-m", "5,5", "-n", "5", "--budget", "0")
+        assert (code, out) == (2, "")
+        assert "--budget" in err
 
 
 class TestTable:
@@ -212,9 +218,8 @@ class TestCheck:
         assert (code, out) == (0, '{"incexc": "9", "dp": "9", "brute": "9", "agree": true}\n')
 
     def test_disagreement_exits_4(self, capsys, monkeypatch):
-        def fake_cross_check(spec, n, budget=None):
+        def fake_cross_check(spec, n, budget):
             return AgreementReport(
-                MultisetSpec((1,)), 1,
                 values={CountMethod.DYNAMIC_PROGRAMMING: 1, CountMethod.BRUTE_FORCE: 2},
                 skipped={},
             )

@@ -1,4 +1,5 @@
 """Brute-force and DP oracles, tabulation and cross-checking."""
+import inspect
 import random
 from itertools import permutations, product
 from math import comb, prod
@@ -8,11 +9,9 @@ import pytest
 from submultisets import (
     DEFAULT_BUDGET_ITEMS,
     AgreementReport,
-    Budget,
     BudgetExceededError,
     CountMethod,
     CountTable,
-    MultisetSpec,
     count,
     count_brute_force,
     count_dp,
@@ -44,11 +43,19 @@ class TestBruteForce:
 
     def test_budget_refusal_carries_estimate(self):
         with pytest.raises(BudgetExceededError) as excinfo:
-            count_brute_force((5, 5), 5, Budget(1))
+            count_brute_force((5, 5), 5, 1)
         assert "36" in str(excinfo.value)
 
     def test_budget_boundary_is_inclusive(self):
-        assert count_brute_force((5, 5), 5, Budget(36)) == 6
+        # (5, 5) has 36 candidate vectors, at every entry point that takes a budget.
+        assert count_brute_force((5, 5), 5, 36) == 6
+        assert count((5, 5), 5, method="brute", budget=36) == 6
+        assert cross_check((5, 5), 5, 36).values[CountMethod.BRUTE_FORCE] == 6
+        with pytest.raises(BudgetExceededError):
+            count_brute_force((5, 5), 5, 35)
+        with pytest.raises(BudgetExceededError):
+            count((5, 5), 5, method="brute", budget=35)
+        assert CountMethod.BRUTE_FORCE in cross_check((5, 5), 5, 35).skipped
 
     def test_deep_spec_of_zeros(self):
         assert count_brute_force((0,) * 5000 + (2,), 1) == 1
@@ -56,45 +63,64 @@ class TestBruteForce:
     def test_wide_spec_without_recursion(self):
         # One nonzero position per level would pass the recursion limit
         # of a position-by-position walk.
-        assert count_brute_force((1,) * 1200, 0, Budget(2**1200)) == 1
-        assert count_brute_force((1,) * 1200, 1, Budget(2**1200)) == 1200
+        # A budget far past any machine word is an int like any other.
+        assert count_brute_force((1,) * 1200, 0, 2**1200) == 1
+        assert count_brute_force((1,) * 1200, 1, 2**1200) == 1200
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            Budget(0)
-        with pytest.raises(ValueError):
-            Budget(-3)
-        for flag in (True, False):  # bool is an int subclass, not a count
-            with pytest.raises(ValueError):
-                Budget(flag)
+
+# Every entry point that takes a budget, with each method of count.
+BUDGET_TAKERS = {
+    "count_brute_force": lambda budget: count_brute_force((2, 3, 3), 5, budget),
+    **{f"count-{m.value}": (lambda budget, m=m: count((2, 3, 3), 5, method=m, budget=budget))
+       for m in CountMethod},
+    "cross_check": lambda budget: cross_check((2, 3, 3), 5, budget),
+}
+
+
+class TestBudget:
+    """The budget is a plain positive int, checked by every entry point that
+    takes one, whatever the method."""
+
+    @pytest.mark.parametrize("budget", [0, -3, True, False, 2.5, "5"])
+    @pytest.mark.parametrize("entry", list(BUDGET_TAKERS))
+    def test_invalid_budget_refused(self, monkeypatch, entry, budget):
+        ran = []
+        for name in ("count_upper_constrained", "count_dp", "count_brute_force", "iterate"):
+            def spy(*args, _name=name, **kwargs):
+                ran.append(_name)
+                raise AssertionError(f"{_name} ran before the budget was checked")
+            monkeypatch.setattr(oracles, name, spy)
+        with pytest.raises(ValueError, match="budget"):
+            BUDGET_TAKERS[entry](budget)
+        assert ran == []
+
+    def test_default_budget(self):
+        for entry in (count_brute_force, count, cross_check):
+            assert inspect.signature(entry).parameters["budget"].default == DEFAULT_BUDGET_ITEMS
+        # 10^8 candidate vectors are over the default of 10^7.
+        with pytest.raises(BudgetExceededError, match=f"budget of {DEFAULT_BUDGET_ITEMS}$"):
+            count_brute_force((9,) * 8, 36)
+        assert CountMethod.BRUTE_FORCE in cross_check((9,) * 8, 36).skipped
 
 
 class TestValueClasses:
-    def test_budget(self):
-        assert Budget().max_items == DEFAULT_BUDGET_ITEMS
-        assert Budget(7).max_items == 7
-        assert Budget(7) == Budget(max_items=7) != Budget(8)
-        with pytest.raises(AttributeError):
-            Budget(7).max_items = 8
-
     def test_count_table(self):
         table = full_table((1, 1))
-        assert table.spec == MultisetSpec((1, 1))
         assert table.counts == (1, 2, 1)
-        assert table == CountTable(MultisetSpec((1, 1)), (1, 2, 1))
-        assert table != CountTable(MultisetSpec((2,)), (1, 2, 1))
+        assert table == CountTable((1, 2, 1))
+        assert table != CountTable((1, 2))
         with pytest.raises(AttributeError):
             table.counts = (1,)
 
     def test_agreement_report(self):
         report = cross_check((2, 3, 3), 5)
-        assert (report.spec, report.n, report.skipped) == (MultisetSpec((2, 3, 3)), 5, {})
         assert report.values == {method: 9 for method in CountMethod}
+        assert report.skipped == {}
         assert report.agree
-        assert report == AgreementReport(MultisetSpec((2, 3, 3)), 5, dict(report.values), {})
-        assert report != AgreementReport(MultisetSpec((2, 3, 3)), 4, dict(report.values), {})
+        assert report == AgreementReport(dict(report.values), {})
+        assert report != AgreementReport(dict(report.values), {CountMethod.BRUTE_FORCE: "x"})
         with pytest.raises(AttributeError):
-            report.n = 4
+            report.values = {}
 
 
 class TestDp:
@@ -177,6 +203,14 @@ class TestFullTable:
         # every n on its own.
         assert full_table(a).counts == tuple(count_brute_force(a, n) for n in range(sum(a) + 1))
 
+    @pytest.mark.parametrize("a,expected", [
+        # A bound above N // 2 is clamped to it; zero bounds drop out.
+        ((5, 1), (1, 2, 2, 2, 2, 2, 1)),
+        ((0, 7, 0, 2), (1, 2, 3, 3, 3, 3, 3, 3, 2, 1)),
+    ])
+    def test_golden_rows(self, a, expected):
+        assert full_table(a).counts == expected
+
     def test_counterexample_entry(self):
         assert full_table((2, 3, 3))[5] == 9
 
@@ -195,9 +229,6 @@ class TestFullTable:
             assert len(table) == sum(a) + 1
             for n in range(sum(a) + 1):
                 assert table[n] == count_dp(a, n)
-
-    def test_carries_spec(self):
-        assert full_table([2, 1]).spec == MultisetSpec((2, 1))
 
     def test_endpoints_and_sum(self):
         for a in [(2, 3, 3), (5, 9, 14), (1,), (0, 2)]:
@@ -221,13 +252,13 @@ class TestMethodDispatch:
 
     def test_budget_reaches_brute_force(self):
         with pytest.raises(BudgetExceededError):
-            count((5, 5), 5, method=CountMethod.BRUTE_FORCE, budget=Budget(1))
+            count((5, 5), 5, method=CountMethod.BRUTE_FORCE, budget=1)
 
     def test_method_by_value(self):
         assert count((2, 3, 3), 5, method="incexc") == 9
         assert count((2, 3, 3), 5, method="dp") == 9
         with pytest.raises(BudgetExceededError):
-            count((2, 3, 3), 5, method="brute", budget=Budget(1))
+            count((2, 3, 3), 5, method="brute", budget=1)
 
     @pytest.mark.parametrize("method", [None, "x", "DYNAMIC_PROGRAMMING"])
     def test_unknown_method_rejected(self, method):
@@ -288,7 +319,7 @@ class TestCrossCheck:
         assert report.agree
 
     def test_budget_exclusion_path(self):
-        report = cross_check((5, 5), 5, Budget(1))
+        report = cross_check((5, 5), 5, 1)
         assert CountMethod.BRUTE_FORCE not in report.values
         assert CountMethod.BRUTE_FORCE in report.skipped
         assert report.values[CountMethod.INCLUSION_EXCLUSION] == 6
@@ -304,7 +335,6 @@ class TestCrossCheck:
 
     def test_disagreement_is_reported_not_raised(self):
         report = AgreementReport(
-            MultisetSpec((1,)), 1,
             values={CountMethod.DYNAMIC_PROGRAMMING: 1, CountMethod.BRUTE_FORCE: 2},
             skipped={},
         )
