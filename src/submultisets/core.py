@@ -14,13 +14,13 @@ importing the package stays cheap; the input gate _multiplicities, which
 every entry point that takes an instance (spec, n) calls first; _normalized,
 which reduces an instance to one with the same count and n <= N/2, bounds at
 most n and no zero bounds; the window convolution by 1 + x + ... + x^m,
-folded over a spec onto a given start product and kept to the degrees that
-can still reach n once what remains is multiplied in, that the dynamic
-program, the full table and the rank tables build on; and, for specs of many
-bounds but few distinct values, the same product's coefficients by a linear
-recurrence whose length depends only on the distinct bounds, with the one
-cost gate that picks it over the folds. Everything here is a pure function
-of its arguments.
+which the rank tables fold themselves, and its fold over a spec onto a given
+start product, kept to the degrees that can still reach n once what remains
+is multiplied in, that the dynamic program and the full table build on;
+and, for specs of many bounds but few distinct values, the same product's
+coefficients by a linear recurrence whose length depends only on the
+distinct bounds, with the one cost gate that picks it over the folds.
+Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -212,15 +212,13 @@ def _multiply_bounded(coeffs: list[int], bound: int, limit: int, drop: int = 0) 
 def _window_fold(
     bounds: Sequence[int],
     n: int,
-    trail: list[tuple[int, list[int]]] | None = None,
     start: list[int] | None = None,
     reach: int = 0,
 ) -> list[int]:
     """Fold the factors 1 + x + ... + x^m over bounds, in order, onto start
     (a product from degree 0, by default [1]), keeping each product at
     degrees low, low + 1, ..., up to n or its top degree if that is lower,
-    and return the last product. With trail, append (low, coeffs) to it
-    after each factor.
+    and return the last product.
 
     Only degrees that can still reach n are kept. reach is the top degree of
     a product still to be multiplied in after bounds, and low is n minus it
@@ -239,8 +237,6 @@ def _window_fold(
             cut = n - rest if n > rest else 0
             coeffs = _multiply_bounded(coeffs, m, n - low, cut - low)
             low = cut
-        if trail is not None:
-            trail.append((low, coeffs))
     return coeffs
 
 

@@ -59,3 +59,26 @@ def count_two_elements(a1: int, a2: int, n: int) -> int:
     """
     _require_counts(a1=a1, a2=a2, n=n)
     return max(0, min(n, a1) - max(0, n - a2) + 1)
+
+
+def suffix_tables_reference(bounds: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
+    """(low, counts) for each suffix j = 0..k of bounds: counts[s - low] is
+    the number of ways positions j.. make up s, for s from
+    max(0, n - sum(bounds[:j])) to min(n, sum(bounds[j:])).
+
+    Each suffix's product of 1 + x + ... + x^m is expanded in full by plain
+    convolution and only then cut to that window: no cut while folding and
+    no mirror. Needs n <= sum(bounds).
+    """
+    product = [1]
+    products = [product]
+    for m in reversed(bounds):
+        product = [sum(product[s - v] for v in range(max(0, s - len(product) + 1), min(m, s) + 1))
+                   for s in range(len(product) + m)]
+        products.append(product)
+    products.reverse()
+    tables = []
+    for j, full in enumerate(products):
+        low = max(0, n - sum(bounds[:j]))
+        tables.append((low, full[low:min(n, sum(bounds[j:])) + 1]))
+    return tables

@@ -6,6 +6,8 @@ import pytest
 
 from submultisets import count_upper_constrained, enumeration, iterate, rank, unrank
 
+from formulas import suffix_tables_reference
+
 # The nine compositions of 5 under bounds (2, 3, 3), ascending lexicographic;
 # frozen from an independent cartesian-product enumeration.
 NINE = [
@@ -186,6 +188,25 @@ class TestSuffixTables:
                     assert low + len(counts) - 1 == min(n, sum(a[j:])), (a, n, j)
                     assert counts == [count_upper_constrained(a[j:], s)
                                       for s in range(low, low + len(counts))]
+
+    def test_folds_each_table_only_up_to_its_middle(self, monkeypatch):
+        # At n = N // 2 the mirror of every sum above the middle lies in its
+        # table's window, so the folds return at most about half the cells.
+        a = tuple(random.Random(5).choice((0, 1, 3, 6, 9, 12)) for _ in range(48))
+        n = sum(a) // 2
+        fold = enumeration._multiply_bounded
+        returned = []
+
+        def counted_fold(*args):
+            out = fold(*args)
+            returned.append(len(out))
+            return out
+
+        monkeypatch.setattr(enumeration, "_multiply_bounded", counted_fold)
+        tables = enumeration._suffix_tables(a, n)
+        window = sum(len(counts) for _, counts in tables)
+        assert sum(returned) <= window / 2 + len(a)
+        assert tables == suffix_tables_reference(a, n)
 
 
 class TestBijection:

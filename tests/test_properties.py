@@ -2,7 +2,8 @@
 unnormalized brute-force oracle and against each other, the recurrence
 kernel against the window fold and either route of count_dp and full_table
 against the other, the shape of the count table, the enumeration stream at
-wide dimension, and rank/unrank against that stream."""
+wide dimension, the rank tables against a full-window reference, and
+rank/unrank against that stream."""
 from contextlib import contextmanager
 from itertools import islice
 from math import prod
@@ -23,6 +24,9 @@ from submultisets import (
     unrank,
 )
 from submultisets.core import _by_recurrence, _window_fold
+from submultisets.enumeration import _suffix_tables
+
+from formulas import suffix_tables_reference
 
 
 @st.composite
@@ -179,6 +183,29 @@ def test_rank_unrank_round_trip_past_half(a, at_total, past, data):
         assert rank(a, n, x) == r
     with pytest.raises(IndexError):
         unrank(a, total + past, 0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(specs(max_k=24, max_bound=12), st.booleans(), st.data())
+def test_suffix_tables_equal_the_full_window_reference(a, odd, data):
+    # The tables mirror each sum above the middle where the mirror lies in
+    # the window, which holds at every n up to N / 2 and fails at some
+    # tables above it. One more bound of 1 makes N odd or even as drawn.
+    if sum(a) % 2 != odd:
+        a += (1,)
+    total = sum(a)
+    picks = {total // 2, (total + 1) // 2, total // 3, total - total // 3,
+             data.draw(st.integers(0, total))}
+    for n in picks:
+        assert _suffix_tables(a, n) == suffix_tables_reference(a, n)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.lists(st.integers(0, 12), min_size=60, max_size=60).map(tuple), st.data())
+def test_rank_unrank_round_trip_at_the_middle_of_a_wide_spec(a, data):
+    n = sum(a) // 2
+    r = data.draw(st.integers(0, count_dp(a, n) - 1))
+    assert rank(a, n, unrank(a, n, r)) == r
 
 
 @settings(deadline=None, max_examples=100)
