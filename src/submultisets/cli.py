@@ -22,16 +22,16 @@ import sys
 from collections.abc import Sequence
 from itertools import islice
 
-from .core import CountMethod, MultisetSpec
+from .core import CountMethod
 from .enumeration import iterate, unrank
 from .oracles import DEFAULT_BUDGET_ITEMS, BudgetExceededError, count, cross_check, full_table
 
 
-def multiplicity_list(text: str) -> MultisetSpec:
+def multiplicity_list(text: str) -> tuple[int, ...]:
     """argparse type: comma-separated non-negative decimal integers."""
     if text == "":
-        return MultisetSpec(())
-    return MultisetSpec(tuple(nonnegative_int(part) for part in text.split(",")))
+        return ()
+    return tuple([nonnegative_int(part) for part in text.split(",")])
 
 
 def nonnegative_int(text: str) -> int:
@@ -113,9 +113,9 @@ def _run_table(args: argparse.Namespace) -> int:
     table = full_table(args.multiplicities)
     if args.format == "json":
         import json
-        print(json.dumps([str(c) for c in table.counts]))
+        print(json.dumps([str(c) for c in table]))
     else:
-        for n, c in enumerate(table.counts):
+        for n, c in enumerate(table):
             print(f"{n},{c}")
     return 0
 

@@ -8,10 +8,9 @@ cardinality n for every integer vector (x_1, ..., x_k) with
 This module counts those vectors exactly, in arbitrary precision, by
 inclusion-exclusion over the set of violated upper bounds, summed by the
 weight of each set so that the cost is polynomial in k and n. It also holds
-what the rest of the package shares: _Value, the immutable base of its
-value classes, plain slotted classes rather than dataclasses so that
-importing the package stays cheap; the input gate _multiplicities, which
-every entry point that takes an instance (spec, n) calls first; _normalized,
+what the rest of the package shares: the input gate _multiplicities, which
+every entry point that takes an instance (spec, n) calls first, and
+MultisetSpec, the tuple of multiplicities that has passed it; _normalized,
 which reduces an instance to one with the same count and n <= N/2, bounds at
 most n and no zero bounds; the window convolution by 1 + x + ... + x^m,
 which the rank tables fold themselves, and its fold over a spec onto a given
@@ -25,7 +24,7 @@ Everything here is a pure function of its arguments.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from math import comb
 from operator import sub
@@ -37,69 +36,20 @@ def _is_int(value: object) -> bool:
     return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
-class _Value:
-    """Base of the package's value classes. A subclass names its fields in
-    __slots__, in constructor order, and sets each once in __init__ through
-    object.__setattr__; after that the instance is immutable, equal to an
-    instance of the same class with equal fields, hashed, shown and pickled
-    by those fields."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = zip(self.__slots__, self._fields())
-        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._fields()
-
-
-class MultisetSpec(_Value):
-    """A multiset given by its element multiplicities (a_1, ..., a_k).
+class MultisetSpec(tuple):
+    """A multiset given by its element multiplicities (a_1, ..., a_k): the
+    tuple itself, built only after every entry passed the input gate, so an
+    entry point takes it without checking it again.
 
     The order of entries fixes the position meaning everywhere else in the
     package (composition entries, lexicographic enumeration). Entries may be
     zero; a zero-multiplicity element simply forces x_j = 0.
     """
 
-    __slots__ = ("multiplicities",)
-    multiplicities: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, multiplicities: Sequence[int]) -> None:
-        mults = tuple(multiplicities)
-        for m in mults:
-            if not _is_int(m):
-                raise ValueError(f"multiplicity must be an integer, got {m!r}")
-            if m < 0:
-                raise ValueError(f"multiplicity must be non-negative, got {m}")
-        object.__setattr__(self, "multiplicities", mults)
-
-
-SpecLike = MultisetSpec | Sequence[int]
-
-
-def as_spec(value: SpecLike) -> MultisetSpec:
-    """Coerce a multiplicity sequence into a validated MultisetSpec."""
-    if isinstance(value, MultisetSpec):
-        return value
-    return MultisetSpec(tuple(value))
+    def __new__(cls, multiplicities: Iterable[int]) -> MultisetSpec:
+        return tuple.__new__(cls, _multiplicities(multiplicities, 0))
 
 
 class CountMethod(enum.Enum):
@@ -110,14 +60,23 @@ class CountMethod(enum.Enum):
     BRUTE_FORCE = "brute"
 
 
-def _multiplicities(spec: SpecLike, n: int) -> tuple[int, ...]:
-    """The multiplicities of the instance (spec, n), once both are validated.
+def _multiplicities(spec: Iterable[int], n: int) -> tuple[int, ...]:
+    """The multiplicities of the instance (spec, n) as an exact tuple, once
+    both are validated.
 
     The input gate of every entry point that takes an instance: spec must be
-    a MultisetSpec or a sequence of non-negative ints and n a non-negative
-    int, or ValueError is raised.
+    an iterable of non-negative ints, read once, and n a non-negative int,
+    or ValueError is raised. A MultisetSpec has passed it already, so its
+    entries are not checked again. The kernels get an exact tuple, never a
+    MultisetSpec: indexing and slicing a tuple subclass is slower.
     """
-    a = as_spec(spec).multiplicities
+    a = tuple(spec)
+    if type(spec) is not MultisetSpec:
+        for m in a:
+            if type(m) is not int and not _is_int(m):  # no call for an int
+                raise ValueError(f"multiplicity must be an integer, got {m!r}")
+            if m < 0:
+                raise ValueError(f"multiplicity must be non-negative, got {m}")
     if not _is_int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
@@ -125,16 +84,15 @@ def _multiplicities(spec: SpecLike, n: int) -> tuple[int, ...]:
     return a
 
 
-def _normalized(spec: SpecLike, n: int) -> tuple[tuple[int, ...], int] | None:
-    """A validated instance with the same count as (spec, n), or None when
-    n > N and the count is 0.
+def _normalized(a: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int] | None:
+    """An instance with the same count as (a, n), which _multiplicities has
+    validated, or None when n > N and the count is 0.
 
     The complement x_j -> a_j - x_j maps the compositions of n one-to-one to
     those of N - n, so n becomes min(n, N - n). No entry can then exceed n,
     so every bound is clamped to n, and zero bounds, which force x_j = 0, are
     dropped. At n = 0 that leaves the empty spec, with its one composition.
     """
-    a = _multiplicities(spec, n)
     total = sum(a)
     if n > total:
         return None
@@ -144,7 +102,7 @@ def _normalized(spec: SpecLike, n: int) -> tuple[tuple[int, ...], int] | None:
     return tuple([m if m < n else n for m in a if m]), n
 
 
-def count_upper_constrained(spec: SpecLike, n: int) -> int:
+def count_upper_constrained(spec: Iterable[int], n: int) -> int:
     """Number of sub-multisets of cardinality n, i.e. of vectors with
     sum n and 0 <= x_j <= a_j.
 
@@ -162,7 +120,7 @@ def count_upper_constrained(spec: SpecLike, n: int) -> int:
     accumulated exactly and must come out non-negative; anything else is an
     internal bug, not a valid outcome.
     """
-    instance = _normalized(spec, n)
+    instance = _normalized(_multiplicities(spec, n), n)
     if instance is None:
         return 0
     a, n = instance
@@ -312,7 +270,7 @@ def _recurrence_pays(bounds: Sequence[int], folds: int) -> bool:
     return folds >= 24 and 12 << len(set(bounds)) <= folds
 
 
-def count_wrong_formula(spec: SpecLike, n: int) -> int:
+def count_wrong_formula(spec: Iterable[int], n: int) -> int:
     """The complement-substitution count C(sum(a) - n + k - 1, k - 1).
 
     NOT a correct sub-multiset count: substituting y_j = a_j - x_j turns the

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from .core import SpecLike, _is_int, _multiplicities, _multiply_bounded
+from .core import _is_int, _multiplicities, _multiply_bounded
 
 Composition = tuple[int, ...]
 
@@ -94,7 +94,7 @@ def _validated(a: tuple[int, ...], n: int, x: Sequence[int]) -> Composition:
     return x
 
 
-def iterate(spec: SpecLike, n: int, *, start: Sequence[int] | None = None) -> Iterator[Composition]:
+def iterate(spec: Iterable[int], n: int, *, start: Sequence[int] | None = None) -> Iterator[Composition]:
     """Yield every composition of n under the spec's bounds, in ascending
     lexicographic order.
 
@@ -188,7 +188,7 @@ def _blocks(
         yield map(state[:-1].__add__, block)
 
 
-def rank(spec: SpecLike, n: int, x: Sequence[int]) -> int:
+def rank(spec: Iterable[int], n: int, x: Sequence[int]) -> int:
     """0-based lexicographic position of composition x among all compositions
     of n under the spec's bounds.
 
@@ -212,7 +212,7 @@ def rank(spec: SpecLike, n: int, x: Sequence[int]) -> int:
     return position
 
 
-def unrank(spec: SpecLike, n: int, r: int) -> Composition:
+def unrank(spec: Iterable[int], n: int, r: int) -> Composition:
     """Composition of n at 0-based lexicographic position r; inverse of rank.
 
     Raises IndexError when r is not below the total count.

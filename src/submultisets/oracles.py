@@ -21,20 +21,18 @@ serve any dimension; the DP is polynomial in it.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import prod
 from operator import mul
 
 from .core import (
     CountMethod,
-    SpecLike,
     _by_recurrence,
     _is_int,
     _multiplicities,
     _normalized,
     _recurrence_pays,
-    _Value,
     _window_fold,
-    as_spec,
     count_upper_constrained,
 )
 from .enumeration import iterate
@@ -54,23 +52,18 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
 
 
-class CountTable(_Value):
+class CountTable(tuple):
     """Per-cardinality sub-multiset counts, indexed by n (0..N)."""
 
-    __slots__ = ("counts",)
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, counts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "counts", counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __getitem__(self, n: int) -> int:
-        return self.counts[n]
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """The counts as a plain tuple."""
+        return tuple(self)
 
 
-def count_brute_force(spec: SpecLike, n: int, budget: int = DEFAULT_BUDGET_ITEMS) -> int:
+def count_brute_force(spec: Iterable[int], n: int, budget: int = DEFAULT_BUDGET_ITEMS) -> int:
     """Count sub-multisets of cardinality n by explicit enumeration.
 
     Counts the items of the iterate stream, a loop with no recursion, so the
@@ -89,7 +82,7 @@ def count_brute_force(spec: SpecLike, n: int, budget: int = DEFAULT_BUDGET_ITEMS
     return sum(1 for _ in iterate(a, n))
 
 
-def count_dp(spec: SpecLike, n: int) -> int:
+def count_dp(spec: Iterable[int], n: int) -> int:
     """Count sub-multisets of cardinality n as a generating-function
     coefficient.
 
@@ -112,7 +105,7 @@ def count_dp(spec: SpecLike, n: int) -> int:
     p_n is taken from that recurrence instead: (50,) * 200 at n = 5000 is
     5000 steps of three terms, not 100 folds. Both give the same count.
     """
-    instance = _normalized(spec, n)
+    instance = _normalized(_multiplicities(spec, n), n)
     if instance is None:
         return 0
     a, n = instance
@@ -133,7 +126,7 @@ def count_dp(spec: SpecLike, n: int) -> int:
     return sum(map(mul, _window_fold(odd, n, start=q, reach=top), reversed(q)))
 
 
-def full_table(spec: SpecLike) -> CountTable:
+def full_table(spec: Iterable[int]) -> CountTable:
     """Counts for every cardinality 0..N in a single polynomial product.
 
     The table is a palindrome (x_j -> a_j - x_j maps cardinality n to N - n),
@@ -147,34 +140,31 @@ def full_table(spec: SpecLike) -> CountTable:
     lowest degree any order can, so the fewest cells and the smallest
     integers.
     """
-    spec = as_spec(spec)
-    total = sum(spec.multiplicities)
-    a, n = _normalized(spec, total // 2)
+    a = _multiplicities(spec, 0)
+    total = sum(a)
+    a, n = _normalized(a, total // 2)
     if _recurrence_pays(a, len(a)):
         half = _by_recurrence(a, n)
     else:
         half = _window_fold(sorted(a), n, reach=n)
-    return CountTable(tuple(half + half[:total + 1 - len(half)][::-1]))
+    return CountTable(half + half[:total + 1 - len(half)][::-1])
 
 
-class AgreementReport(_Value):
-    """Outcome of running every applicable counting method on one instance."""
+class AgreementReport:
+    """Outcome of running every applicable counting method on one instance:
+    the value of each method that ran, why each other one was skipped, and
+    whether the values agree."""
 
-    __slots__ = ("values", "skipped")
-    values: dict[CountMethod, int]
-    skipped: dict[CountMethod, str]
+    __slots__ = ("values", "skipped", "agree")
 
     def __init__(self, values: dict[CountMethod, int], skipped: dict[CountMethod, str]) -> None:
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "skipped", skipped)
-
-    @property
-    def agree(self) -> bool:
-        return len(set(self.values.values())) <= 1
+        self.values = values
+        self.skipped = skipped
+        self.agree = len(set(values.values())) <= 1
 
 
 def count(
-    spec: SpecLike,
+    spec: Iterable[int],
     n: int,
     method: CountMethod | str = CountMethod.DYNAMIC_PROGRAMMING,
     budget: int = DEFAULT_BUDGET_ITEMS,
@@ -192,7 +182,7 @@ def count(
     return count_dp(spec, n)
 
 
-def cross_check(spec: SpecLike, n: int, budget: int = DEFAULT_BUDGET_ITEMS) -> AgreementReport:
+def cross_check(spec: Iterable[int], n: int, budget: int = DEFAULT_BUDGET_ITEMS) -> AgreementReport:
     """Run every method on one instance and report their values.
 
     Inclusion-exclusion and the DP always run. Brute force refuses an
@@ -201,14 +191,14 @@ def cross_check(spec: SpecLike, n: int, budget: int = DEFAULT_BUDGET_ITEMS) -> A
     budget is refused with ValueError before any method runs.
     """
     _check_budget(budget)
-    spec = as_spec(spec)
+    a = _multiplicities(spec, n)
     values = {
-        CountMethod.INCLUSION_EXCLUSION: count_upper_constrained(spec, n),
-        CountMethod.DYNAMIC_PROGRAMMING: count_dp(spec, n),
+        CountMethod.INCLUSION_EXCLUSION: count_upper_constrained(a, n),
+        CountMethod.DYNAMIC_PROGRAMMING: count_dp(a, n),
     }
     skipped: dict[CountMethod, str] = {}
     try:
-        values[CountMethod.BRUTE_FORCE] = count_brute_force(spec, n, budget)
+        values[CountMethod.BRUTE_FORCE] = count_brute_force(a, n, budget)
     except BudgetExceededError as exc:
         skipped[CountMethod.BRUTE_FORCE] = str(exc)
     return AgreementReport(values, skipped)

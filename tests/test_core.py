@@ -1,13 +1,28 @@
 """Closed-form counting: golden values, identities and error contracts."""
+import copy
 import pickle
 from itertools import product
 from math import comb, factorial, prod
 
 import pytest
 
-from submultisets import CountMethod, MultisetSpec, count_upper_constrained
-from submultisets.core import as_spec, count_wrong_formula
-from submultisets.oracles import count_dp
+from submultisets import (
+    CountMethod,
+    MultisetSpec,
+    core,
+    count,
+    count_brute_force,
+    count_dp,
+    count_upper_constrained,
+    cross_check,
+    enumeration,
+    full_table,
+    iterate,
+    oracles,
+    rank,
+    unrank,
+)
+from submultisets.core import count_wrong_formula
 
 from formulas import (
     binom_zero_convention,
@@ -25,16 +40,19 @@ def dumb_count(a, n):
 class TestMultisetSpec:
     def test_fields(self):
         spec = MultisetSpec((5, 9, 14))
-        assert spec.multiplicities == (5, 9, 14)
+        assert isinstance(spec, tuple)
+        assert spec == (5, 9, 14)
+        assert spec[1] == 9 and len(spec) == 3
 
     def test_list_input_coerced_to_tuple(self):
-        assert MultisetSpec([2, 3, 3]).multiplicities == (2, 3, 3)
+        assert MultisetSpec([2, 3, 3]) == (2, 3, 3)
+        assert MultisetSpec(iter([2, 3, 3])) == (2, 3, 3)
 
     def test_empty_spec(self):
-        assert MultisetSpec(()).multiplicities == ()
+        assert MultisetSpec(()) == ()
 
     def test_zero_multiplicity_allowed(self):
-        assert MultisetSpec((0, 2, 0)).multiplicities == (0, 2, 0)
+        assert MultisetSpec((0, 2, 0)) == (0, 2, 0)
 
     @pytest.mark.parametrize("bad", [(-1,), (2, -3), ("2",), (1.5,), (True, 2), (False,)])
     def test_invalid_multiplicities_rejected(self, bad):
@@ -43,30 +61,95 @@ class TestMultisetSpec:
 
     def test_equal_and_hashed_by_multiplicities(self):
         spec = MultisetSpec((1, 2))
-        assert spec == MultisetSpec([1, 2])
-        assert hash(spec) == hash(MultisetSpec([1, 2]))
-        assert len({spec, MultisetSpec([1, 2]), MultisetSpec((2, 1))}) == 2
-        assert spec != (1, 2)
+        assert spec == (1, 2) == MultisetSpec([1, 2])
+        assert hash(spec) == hash((1, 2))
+        assert len({spec, (1, 2), MultisetSpec((2, 1))}) == 2
         assert spec != MultisetSpec((1, 2, 0))
 
     def test_immutable(self):
         spec = MultisetSpec((1, 2))
         with pytest.raises(AttributeError):
             spec.multiplicities = (3,)
-        with pytest.raises(AttributeError):
-            del spec.multiplicities
-        assert spec.multiplicities == (1, 2)
+        with pytest.raises(TypeError):
+            spec[0] = 3
+        with pytest.raises(TypeError):
+            del spec[0]
+        assert spec == (1, 2)
 
     def test_repr_and_pickle_round_trip(self):
         spec = MultisetSpec((5, 0, 14))
         assert eval(repr(spec), {"MultisetSpec": MultisetSpec}) == spec
-        assert pickle.loads(pickle.dumps(spec)) == spec
+        copies = [copy.copy(spec), copy.deepcopy(spec)]
+        copies += [pickle.loads(pickle.dumps(spec, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is MultisetSpec and other == spec
+        # A copy, and a load from pickle protocol 2 or later, builds the spec
+        # through __new__ and so through the gate again: a spec that skipped
+        # the gate is refused.
+        forged = tuple.__new__(MultisetSpec, (1, -1))
+        for rebuild in [copy.copy, copy.deepcopy] + [
+                lambda s, p=p: pickle.loads(pickle.dumps(s, p))
+                for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]:
+            with pytest.raises(ValueError):
+                rebuild(forged)
 
-    def test_as_spec_passthrough_and_coercion(self):
-        spec = MultisetSpec((1, 2))
-        assert as_spec(spec) is spec
-        assert as_spec([1, 2]) == spec
-        assert as_spec((1, 2)) == spec
+
+def report_fields(report):
+    return report.values, report.skipped, report.agree
+
+
+# Every entry point that takes an instance, with each method of count, as a
+# function of (spec, n) whose result compares with ==; full_table takes no n.
+INSTANCE_TAKERS = {
+    **{f"count-{m.value}": (lambda spec, n, m=m: count(spec, n, method=m)) for m in CountMethod},
+    "count_upper_constrained": count_upper_constrained,
+    "count_dp": count_dp,
+    "count_brute_force": count_brute_force,
+    "full_table": lambda spec, n: full_table(spec),
+    "cross_check": lambda spec, n: report_fields(cross_check(spec, n)),
+    "iterate": lambda spec, n: list(iterate(spec, n)),
+    "rank": lambda spec, n: rank(spec, n, (2, 3, 0)),
+    "unrank": lambda spec, n: unrank(spec, n, 8),
+}
+
+
+class TestInputGate:
+    """Every entry point validates its instance in one gate, takes the spec
+    in any form, reads it once and hands its kernels exact tuples."""
+
+    @pytest.mark.parametrize("entry", list(INSTANCE_TAKERS))
+    def test_every_entry_point_shares_the_gate(self, entry):
+        take = INSTANCE_TAKERS[entry]
+        for bad in [(1, True), (1, -1), (1, 2.0), ("1",)]:
+            with pytest.raises(ValueError, match="multiplicity"):
+                take(bad, 5)
+        if entry != "full_table":
+            for bad in [True, -1, 1.0]:
+                with pytest.raises(ValueError, match="n must"):
+                    take((2, 3, 3), bad)
+        forms = [[2, 3, 3], (2, 3, 3), MultisetSpec((2, 3, 3)), iter([2, 3, 3])]
+        results = [take(spec, 5) for spec in forms]
+        assert all(result == results[0] for result in results), results
+
+    def test_kernels_get_exact_tuples(self, monkeypatch):
+        seen = {}
+        for module, name in [(enumeration, "_successors"), (enumeration, "_suffix_tables"),
+                             (core, "_normalized"), (oracles, "_normalized")]:
+            def spy(a, *args, _inner=getattr(module, name), _name=name, **kwargs):
+                seen.setdefault(_name, set()).add(type(a))
+                return _inner(a, *args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        # Below 33 positions iterate joins tails to the leading positions;
+        # (1,) * 40 hands the whole spec to the successor loop.
+        for a, n in [((2, 3, 3), 5), ((1,) * 40, 3)]:
+            spec = MultisetSpec(a)
+            count_upper_constrained(spec, n)
+            full_table(spec)
+            cross_check(spec, n)
+            list(iterate(spec, n))
+            rank(spec, n, unrank(spec, n, 1))
+        assert seen == dict.fromkeys(["_successors", "_suffix_tables", "_normalized"], {tuple})
 
 
 class TestBinomZeroConvention:

@@ -106,21 +106,19 @@ class TestBudget:
 class TestValueClasses:
     def test_count_table(self):
         table = full_table((1, 1))
-        assert table.counts == (1, 2, 1)
-        assert table == CountTable((1, 2, 1))
-        assert table != CountTable((1, 2))
+        assert isinstance(table, CountTable)
+        assert table == (1, 2, 1) != (1, 2)
+        assert (len(table), table[1], table[-1]) == (3, 2, 1)
+        assert type(table.counts) is tuple and table.counts == (1, 2, 1)
         with pytest.raises(AttributeError):
             table.counts = (1,)
 
     def test_agreement_report(self):
         report = cross_check((2, 3, 3), 5)
+        assert isinstance(report, AgreementReport)
         assert report.values == {method: 9 for method in CountMethod}
         assert report.skipped == {}
         assert report.agree
-        assert report == AgreementReport(dict(report.values), {})
-        assert report != AgreementReport(dict(report.values), {CountMethod.BRUTE_FORCE: "x"})
-        with pytest.raises(AttributeError):
-            report.values = {}
 
 
 class TestDp:
