@@ -11,9 +11,9 @@ force may visit; count and check hand it to the library as a plain int.
 Results go to stdout, diagnostics to stderr (check notes each skipped method
 and why there). Exit codes: 0 success, 2
 malformed input, 3 brute force over its budget, 4 cross-check disagreement.
-Counts in JSON output are decimal strings, since they routinely exceed the
-integer range of downstream consumers. json is imported only by the branches
-that print it, since most processes print text.
+Counts print in full; in JSON output they are decimal strings, since they
+routinely exceed the integer range of downstream consumers. json is imported
+only by the branches that print it, since most processes print text.
 """
 from __future__ import annotations
 
@@ -185,6 +185,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad input, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
+    # Counts print in full; the input was parsed under the int -> str limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _DISPATCH[args.command](args)
     except BudgetExceededError as exc:
@@ -193,6 +197,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,8 @@ and its 0-based position in that order without enumerating, by prefix
 counting against per-suffix count tables (Nijenhuis & Wilf, Combinatorial
 Algorithms, 1978). Each table keeps only the sums its suffix can take that
 the positions to its left can still make up to n, so a table is cut from
-below as well as from above. A table is a palindrome about half its
-suffix's total, so it is folded only up to the middle and mirrored above
-it, wherever the mirror stays inside its window, as it always does for
-n <= N/2.
+below as well as from above, and core's window fold folds it only up to its
+middle.
 """
 from __future__ import annotations
 
@@ -22,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from collections.abc import Iterable, Iterator, Sequence
 
-from .core import _is_int, _multiplicities, _multiply_bounded
+from .core import _is_int, _multiplicities, _window_fold
 
 Composition = tuple[int, ...]
 
@@ -43,39 +41,16 @@ TAIL_COMBINATIONS = 128
 
 def _suffix_tables(a: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
     """tables[j] = (low, counts): counts[s - low] is the number of ways to
-    finish positions j.. with sum s.
+    finish positions j.. with sum s, the products core._window_fold records
+    over the reversed spec.
 
     A table covers the sums from low = max(0, n - (a_1 + ... + a_{j-1})) to
     top = min(n, S_j), where S_j = a_j + ... + a_k. Above that the suffix
     cannot reach s, and below it the positions to the left cannot make up
     the rest of n, so rank and unrank never read there. Needs n <= N.
-
-    Each table is the product of the factors 1 + x + ... + x^m over its
-    suffix, folded from the table to its right, and a palindrome about
-    S_j / 2: the complement x_i -> a_i - x_i maps the ways to make s onto
-    those to make S_j - s. So only the sums up to half = S_j // 2 are folded
-    and each sum s above half is copied from its mirror S_j - s, as long as
-    that mirror lies in the window (S_j - top >= low); otherwise the whole
-    window is folded. The mirror always lies there when 2n <= N: either
-    top = S_j, and then low = 0, or top = n, and then S_j - n is at least
-    both 0 and S_j + n - N, so at least low.
     """
-    low, counts = 0, [1]
-    tables = [(low, counts)]
-    left, total = sum(a), 0  # a_1 + ... + a_{j-1} and S_j
-    for m in reversed(a):
-        if m:  # a factor of 1 changes nothing
-            left -= m
-            total += m
-            cut = n - left if n > left else 0
-            top = n if n < total else total
-            half = total // 2 if total - top >= cut and total // 2 < top else top
-            # A fold reads no more than the degrees it keeps.
-            counts = _multiply_bounded(counts[:half - low + 1], m, half - low, cut - low)
-            if half < top:
-                counts += counts[total - top - cut:total - half - cut][::-1]
-            low = cut
-        tables.append((low, counts))
+    tables = [(0, [1])]
+    _window_fold(a[::-1], n, products=tables)
     tables.reverse()
     return tables
 

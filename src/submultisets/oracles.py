@@ -2,27 +2,21 @@
 
 Two methods beside the inclusion-exclusion formula. A generating-function
 dynamic program takes the coefficient of x^n in the product of
-(1 + x + ... + x^{a_j}) over all elements. It folds each repeated bound
-once: with Q the product over one of each two equal bounds and R the
-factors left over, the product is Q^2 R, so it folds Q, then R onto Q, and
-ends with one dot product against Q, keeping each partial product to the
-degrees from which n is still reachable. When many bounds share few values,
-core._recurrence_pays sends it instead to core._by_recurrence, which steps
-through the product's coefficients by a linear recurrence as long as the
-distinct bounds make it. It shares with the formula only core._normalized,
-which reduces the instance to n <= N/2 and bounds in 1..n first;
-full_table normalizes (spec, N // 2) the same way, takes the product to that
-degree, by the recurrence under the same gate or else folded in ascending
-order of the bounds, and mirrors its lower half. A count of the
-lexicographic stream of compositions (exponential, and refused over a budget
-of candidate vectors, a plain positive int) shares nothing with either: it
-counts the instance as given, so it also checks the normalization. Both
-serve any dimension; the DP is polynomial in it.
+(1 + x + ... + x^{a_j}) over all elements: Q^2 R, with Q the product over
+one of each two equal bounds and R the rest, by core._window_fold, or by
+core._by_recurrence where many bounds share few values. It shares with the
+formula only core._normalized, which reduces the instance to n <= N/2 and
+bounds in 1..n first; full_table takes the same product to degree N // 2
+and mirrors it. A count of the lexicographic stream of compositions
+(exponential, and refused over a budget of candidate vectors, a plain
+positive int) shares nothing with either: it counts the instance as given,
+so it also checks the normalization. Both serve any dimension; the DP is
+polynomial in it.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import prod
+from math import log10, prod
 from operator import mul
 
 from .core import (
@@ -52,6 +46,12 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
 
 
+def _magnitude(value: int) -> str:
+    """value in decimal below 10^20, else as a power of ten: one short line,
+    where a decimal past 4300 digits raises ValueError (int -> str limit)."""
+    return str(value) if value < 10**20 else f"10^{log10(value):.1f}"
+
+
 class CountTable(tuple):
     """Per-cardinality sub-multiset counts, indexed by n (0..N)."""
 
@@ -76,8 +76,8 @@ def count_brute_force(spec: Iterable[int], n: int, budget: int = DEFAULT_BUDGET_
     estimate = prod(m + 1 for m in a)
     if estimate > budget:
         raise BudgetExceededError(
-            f"instance has an estimated {estimate} compositions, over the "
-            f"budget of {budget}"
+            f"instance has an estimated {_magnitude(estimate)} compositions, "
+            f"over the budget of {_magnitude(budget)}"
         )
     return sum(1 for _ in iterate(a, n))
 
@@ -94,11 +94,11 @@ def count_dp(spec: Iterable[int], n: int) -> int:
     in ascending order up to degree min(n, sum(C)), with no lower cut:
     since n <= N/2, every degree of Q can still reach n. The factors of R
     are folded onto Q, each product kept to the degrees that can still
-    reach n once the rest of R and the second Q are multiplied in: none
-    above n, and none below n minus the bounds of R still to come and the
-    top degree of Q. That gives F = QR, and the coefficient of x^n in P is
-    the dot product of F[s] with Q[n - s]. Polynomial cost, arbitrary
-    dimension; a spec of equal bounds folds only half of them.
+    reach n once the rest of R and the second Q are multiplied in, and
+    each product of both folds computed only up to its middle. That gives
+    F = QR, and the coefficient of x^n in P is the dot product of F[s] with
+    Q[n - s]. Polynomial cost, arbitrary dimension; a spec of equal bounds
+    folds only half of them.
 
     When those folds outnumber what the recurrence of core._by_recurrence
     costs, which depends on the distinct bounds only (core._recurrence_pays),
@@ -120,10 +120,10 @@ def count_dp(spec: Iterable[int], n: int) -> int:
             odd.append(m)
     if _recurrence_pays(a, len(pairs) + len(odd)):
         return _by_recurrence(a, n)[n]
-    q = _window_fold(pairs, n, reach=n)
-    top = len(q) - 1
+    q = _window_fold(pairs, n, reach=n)  # R's fold starts from it, Q's full degree too
+    top = len(q[1]) - 1
     # F = QR starts at degree n - top or 0, so F[i] meets Q at degree top - i.
-    return sum(map(mul, _window_fold(odd, n, start=q, reach=top), reversed(q)))
+    return sum(map(mul, _window_fold(odd, n, start=q, reach=top)[1], reversed(q[1])))
 
 
 def full_table(spec: Iterable[int]) -> CountTable:
@@ -135,10 +135,10 @@ def full_table(spec: Iterable[int]) -> CountTable:
     normalized as count_dp's is. Where the cost gate of count_dp says the
     recurrence is cheaper than folding every bound, as for (50,) * 200, the
     product comes from core._by_recurrence. Otherwise the factors are folded
-    in ascending order of their bounds, with no product cut from below: the
-    product is commutative, and that order gives every partial product the
-    lowest degree any order can, so the fewest cells and the smallest
-    integers.
+    in ascending order of their bounds, each product only up to its middle
+    and with no cut from below: the product is commutative, and that order
+    gives every partial product the lowest degree any order can, so the
+    fewest cells and the smallest integers.
     """
     a = _multiplicities(spec, 0)
     total = sum(a)
@@ -146,7 +146,7 @@ def full_table(spec: Iterable[int]) -> CountTable:
     if _recurrence_pays(a, len(a)):
         half = _by_recurrence(a, n)
     else:
-        half = _window_fold(sorted(a), n, reach=n)
+        half = _window_fold(sorted(a), n, reach=n)[1]
     return CountTable(half + half[:total + 1 - len(half)][::-1])
 
 

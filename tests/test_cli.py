@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -195,6 +196,17 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "-m", "5,5", "-n", "5", "--budget", "1")
         assert (code, out) == (0, "incexc 6\ndp 6\nbrute skipped\nAGREE\n")
 
+    def test_brute_refusal_past_the_digit_limit(self, capsys):
+        # 2^15000 compositions, a decimal of 4516 digits: brute force is
+        # skipped with a one-line note, not refused as malformed input.
+        m = ",".join(["1"] * 15000)
+        note = ("instance has an estimated 10^4515.4 compositions, over the budget "
+                "of 10000000\n")
+        code, out, err = run(capsys, "check", "-m", m, "-n", "2")
+        assert (code, out) == (0, "incexc 112492500\ndp 112492500\nbrute skipped\nAGREE\n")
+        assert err == "note: brute skipped: " + note
+        assert run(capsys, "count", "-m", m, "-n", "2", "--method", "brute") == (3, "", "error: " + note)
+
     def test_wide_instance_skips_brute(self, capsys):
         # 2^64 compositions are over the default budget; incexc and dp agree
         code, out, _ = run(capsys, "check", "-m", ",".join(["1"] * 64), "-n", "3")
@@ -241,6 +253,81 @@ class TestCsvFormat:
     def test_check_csv(self, capsys):
         code, out, _ = run(capsys, "check", "-m", "2,3,3", "-n", "5", "--format", "csv")
         assert (code, out) == (0, "incexc,9\ndp,9\nbrute,9\nAGREE\n")
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's limit on int <-> str conversion, lowered from 4300
+    to 640 digits for one test, so counts past it stay quick to compute."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int <-> str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
+
+
+def in_full(value):
+    """str(value) past the interpreter's digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestLongCounts:
+    """Counts print in full past the int -> str digit limit; the integers
+    parsed from the command line stay under it, and main puts it back."""
+
+    ONES = ",".join(["1"] * 2200)  # C(2200, 1100) has 661 digits
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_count(self, capsys, digit_limit, fmt):
+        code, out, err = run(capsys, "count", "-m", self.ONES, "-n", "1100", "--format", fmt)
+        digits = in_full(comb(2200, 1100))
+        assert len(digits) > digit_limit
+        assert (code, err) == (0, "")
+        assert out == (json.dumps({"count": digits}) if fmt == "json" else digits) + "\n"
+        assert sys.get_int_max_str_digits() == digit_limit
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_table(self, capsys, digit_limit, fmt):
+        code, out, err = run(capsys, "table", "-m", self.ONES, "--format", fmt)
+        row = [1]  # C(2200, n), one exact step from the last
+        for n in range(2200):
+            row.append(row[-1] * (2200 - n) // (n + 1))
+        counts = [in_full(c) for c in row]
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert out == json.dumps(counts) + "\n"
+        else:
+            assert out == "".join(f"{n},{c}\n" for n, c in enumerate(counts))
+        assert sys.get_int_max_str_digits() == digit_limit
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_check(self, capsys, monkeypatch, digit_limit, fmt):
+        value = 10**700
+
+        def fake_cross_check(spec, n, budget):
+            return AgreementReport({m: value for m in CountMethod}, {})
+
+        monkeypatch.setattr(cli, "cross_check", fake_cross_check)
+        code, out, _ = run(capsys, "check", "-m", "1", "-n", "1", "--format", fmt)
+        digits = in_full(value)
+        if fmt == "json":
+            expected = json.dumps({"incexc": digits, "dp": digits, "brute": digits, "agree": True})
+        else:
+            expected = f"incexc {digits}\ndp {digits}\nbrute {digits}\nAGREE"
+        assert (code, out) == (0, expected + "\n")
+        assert sys.get_int_max_str_digits() == digit_limit
+
+    def test_input_keeps_the_limit(self, capsys, digit_limit):
+        code, out, err = run(capsys, "count", "-m", "1", "-n", "1" * 641)
+        assert (code, out) == (2, "")
+        assert "-n" in err
+        assert sys.get_int_max_str_digits() == digit_limit
 
 
 class TestSubprocessEntry:

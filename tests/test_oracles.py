@@ -16,6 +16,7 @@ from submultisets import (
     count_brute_force,
     count_dp,
     count_upper_constrained,
+    core,
     cross_check,
     full_table,
     oracles,
@@ -27,6 +28,32 @@ WIDE = (50,) * 200
 
 def dumb_count(a, n):
     return sum(1 for x in product(*(range(m + 1) for m in a)) if sum(x) == n)
+
+
+def fold_cells(monkeypatch, entry, *args):
+    """Run entry(*args) with each core._window_fold that oracles calls
+    recording its products. Returns the result, the length of each fold's
+    bounds, the cells core._multiply_bounded returned, and the cells of the
+    products' windows, which a fold with no mirror would all return."""
+    fold, multiply = core._window_fold, core._multiply_bounded
+    folds, returned, windows = [], [], []
+
+    def recorded_fold(bounds, n, start=None, reach=0):
+        products = []
+        out = fold(bounds, n, start, reach, products)
+        folds.append(len(bounds))
+        windows.extend(len(coeffs) for _, coeffs in products)
+        return out
+
+    def counted(*args):
+        out = multiply(*args)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(oracles, "_window_fold", recorded_fold)
+    monkeypatch.setattr(core, "_multiply_bounded", counted)
+    result = entry(*args)
+    return result, folds, sum(returned), sum(windows)
 
 
 class TestBruteForce:
@@ -45,6 +72,21 @@ class TestBruteForce:
         with pytest.raises(BudgetExceededError) as excinfo:
             count_brute_force((5, 5), 5, 1)
         assert "36" in str(excinfo.value)
+
+    def test_refusal_of_a_huge_instance_is_one_short_line(self):
+        # 2^15000 has 4516 digits, past the interpreter's default limit of
+        # 4300 on int -> str conversion: the estimate is a power of ten.
+        ones = (1,) * 15000
+        message = "instance has an estimated 10^4515.4 compositions, over the budget of "
+        with pytest.raises(BudgetExceededError, match=r"^" + message.replace("^", r"\^") + "10000000$"):
+            count_brute_force(ones, 2)
+        with pytest.raises(BudgetExceededError, match=r"budget of 10\^30\.0$"):
+            count_brute_force(ones, 2, 10**30)
+        with pytest.raises(BudgetExceededError, match=r"budget of 99999999999999999999$"):
+            count_brute_force(ones, 2, 10**20 - 1)
+        report = cross_check(ones, 2)
+        assert report.skipped == {CountMethod.BRUTE_FORCE: message + "10000000"}
+        assert report.agree
 
     def test_budget_boundary_is_inclusive(self):
         # (5, 5) has 36 candidate vectors, at every entry point that takes a budget.
@@ -167,6 +209,17 @@ class TestDp:
         full_table(tuple(range(1, 60)) * 2)
         assert calls == [5000, 5000]
 
+    def test_folds_each_product_only_up_to_its_middle(self, monkeypatch):
+        # At n = N // 2 both folds, Q's and R's onto Q, mirror the degrees
+        # above each product's middle, so they return about half the cells.
+        rng = random.Random(7)
+        a = tuple(rng.randint(1, 40) for _ in range(60))
+        n = sum(a) // 2
+        value, folds, returned, window = fold_cells(monkeypatch, count_dp, a, n)
+        assert value == count_upper_constrained(a, n)
+        assert len(folds) == 2 and min(folds) > 0
+        assert returned <= window / 2 + len(a)
+
     @pytest.mark.parametrize("k,n", [(5, 2), (10, 0), (10, 10), (12, 7)])
     def test_unit_multiplicities_give_subsets(self, k, n):
         assert count_dp((1,) * k, n) == comb(k, n)
@@ -234,6 +287,20 @@ class TestFullTable:
             assert table[0] == 1
             assert table[len(table) - 1] == 1
             assert sum(table.counts) == prod(m + 1 for m in a)
+
+    def test_folds_each_product_only_up_to_its_middle(self, monkeypatch):
+        # The table needs degrees up to N // 2 of every product, so one whose
+        # total T lies past N // 2 saves only the degrees from T // 2 up to
+        # N // 2: over the whole fold about a third of the cells, not half.
+        rng = random.Random(7)
+        a = tuple(rng.randint(1, 40) for _ in range(60))
+        table, folds, returned, window = fold_cells(monkeypatch, full_table, a)
+        total = sum(a)
+        for n in (total // 3, total // 2):
+            assert table[n] == table[total - n] == count_upper_constrained(a, n)
+        assert sum(table) == prod(m + 1 for m in a)
+        assert folds == [len(a)]
+        assert returned <= window * 2 / 3
 
     def test_factor_order_is_irrelevant(self):
         for a in permutations((2, 3, 1, 0)):

@@ -112,7 +112,7 @@ def test_recurrence_equals_window_fold_at_every_n(a):
     # Called directly, whatever the gate would pick; the recurrence drops
     # its terms that reach further back than n, so each n is its own call.
     for n in range(sum(a) + 1):
-        assert _by_recurrence(a, n) == _window_fold(sorted(a), n, reach=n)
+        assert _by_recurrence(a, n) == _window_fold(sorted(a), n, reach=n)[1]
 
 
 @contextmanager
