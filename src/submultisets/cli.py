@@ -12,19 +12,48 @@ Results go to stdout, diagnostics to stderr (check notes each skipped method
 and why there). Exit codes: 0 success, 2
 malformed input, 3 brute force over its budget, 4 cross-check disagreement.
 Counts print in full; in JSON output they are decimal strings, since they
-routinely exceed the integer range of downstream consumers. json is imported
+routinely exceed the integer range of downstream consumers. --start-rank
+takes any number of digits, since its range is the count's; the other
+integers are parsed under the interpreter's int -> str digit limit, and a
+usage error shows at most 100 characters of its message. json is imported
 only by the branches that print it, since most processes print text.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from itertools import islice
+from typing import NoReturn
 
 from .core import CountMethod
 from .enumeration import iterate, unrank
 from .oracles import DEFAULT_BUDGET_ITEMS, BudgetExceededError, count, cross_check, full_table
+
+
+@contextmanager
+def _unlimited_digits() -> Iterator[None]:
+    """Lift the interpreter's int <-> str digit limit (3.10.7+, 3.11+) for
+    the block, and put the old value back after it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error message stays short: argparse echoes a
+    bad value, an invalid choice or an unrecognized argument in full."""
+
+    def error(self, message: str) -> NoReturn:
+        if len(message) > 100:
+            message = f"{message[:100]}... ({len(message)} characters)"
+        super().error(message)
 
 
 def multiplicity_list(text: str) -> tuple[int, ...]:
@@ -49,8 +78,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def rank_int(text: str) -> int:
+    """argparse type for --start-rank: nonnegative_int with no digit limit,
+    since a rank can be as long as the count, which prints in full."""
+    with _unlimited_digits():
+        return nonnegative_int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="submultisets",
         description="Count and enumerate the sub-multisets of a given cardinality "
         "of a multiset given by its element multiplicities.",
@@ -88,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     instance_args(p_enum)
     p_enum.add_argument("--limit", type=nonnegative_int, default=None,
                         help="print at most this many compositions")
-    p_enum.add_argument("--start-rank", type=nonnegative_int, default=0,
+    p_enum.add_argument("--start-rank", type=rank_int, default=0,
                         help="skip to this 0-based rank before printing")
 
     p_check = sub.add_parser("check", help="run all applicable methods and compare")
@@ -186,20 +222,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad input, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
     # Counts print in full; the input was parsed under the int -> str limit.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        return _DISPATCH[args.command](args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    with _unlimited_digits():
+        try:
+            return _DISPATCH[args.command](args)
+        except BudgetExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, IndexError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -13,17 +13,28 @@ every entry point calls first, and MultisetSpec, a tuple that has passed it;
 _normalized, which reduces an instance to one with the same count and
 n <= N/2; _window_fold, the one fold of the product of the factors
 1 + x + ... + x^m that the dynamic program, the full table and the rank
-tables build on; and _by_recurrence, the same product's coefficients by a
-linear recurrence, with the one cost gate that picks it over the fold.
-Everything here is a pure function of its arguments.
+tables build on; _by_recurrence, the same product's coefficients by a
+linear recurrence, with the one cost gate that picks it over the fold; and
+_magnitude, which writes a caller's int of any size into a message as one
+short line. Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Sequence
 from itertools import accumulate
-from math import comb
+from math import comb, log10
 from operator import sub
+
+
+def _magnitude(value: object) -> str:
+    """A caller's value as one short line for a message: an int of size
+    below 10^20 in decimal, a larger one as a signed power of ten, where a
+    decimal past 4300 digits raises ValueError (int -> str limit); anything
+    else by repr."""
+    if not isinstance(value, int) or -10**20 < value < 10**20:
+        return repr(value)
+    return f"{'-' if value < 0 else ''}10^{log10(abs(value)):.1f}"
 
 
 def _is_int(value: object) -> bool:
@@ -70,13 +81,13 @@ def _multiplicities(spec: Iterable[int], n: int) -> tuple[int, ...]:
     if type(spec) is not MultisetSpec:
         for m in a:
             if type(m) is not int and not _is_int(m):  # no call for an int
-                raise ValueError(f"multiplicity must be an integer, got {m!r}")
+                raise ValueError(f"multiplicity must be an integer, got {_magnitude(m)}")
             if m < 0:
-                raise ValueError(f"multiplicity must be non-negative, got {m}")
+                raise ValueError(f"multiplicity must be non-negative, got {_magnitude(m)}")
     if not _is_int(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
+        raise ValueError(f"n must be an integer, got {_magnitude(n)}")
     if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+        raise ValueError(f"n must be non-negative, got {_magnitude(n)}")
     return a
 
 
@@ -144,7 +155,7 @@ def count_upper_constrained(spec: Iterable[int], n: int) -> int:
     return total
 
 
-def _multiply_bounded(coeffs: list[int], bound: int, limit: int, drop: int = 0) -> list[int]:
+def _multiply_bounded(coeffs: list[int], bound: int, limit: int, drop: int) -> list[int]:
     """Multiply a coefficient list by 1 + x + ... + x^bound, keeping degrees
     drop..limit, counted from the degree of coeffs[0].
 

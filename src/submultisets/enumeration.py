@@ -12,7 +12,10 @@ counting against per-suffix count tables (Nijenhuis & Wilf, Combinatorial
 Algorithms, 1978). Each table keeps only the sums its suffix can take that
 the positions to its left can still make up to n, so a table is cut from
 below as well as from above, and core's window fold folds it only up to its
-middle.
+middle. rank and unrank share the tables of the last instance either was
+called on, so an unrank followed by its rank, or many draws from one
+instance, build them once. Those tables stay alive until a call on another
+instance drops them, about 1.9 MB at k = 200, n = 550.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from collections.abc import Iterable, Iterator, Sequence
 
-from .core import _is_int, _multiplicities, _window_fold
+from .core import _is_int, _magnitude, _multiplicities, _window_fold
 
 Composition = tuple[int, ...]
 
@@ -55,17 +58,41 @@ def _suffix_tables(a: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
     return tables
 
 
+#: The last instance's suffix tables, ((a, n), tables), written in one
+#: assignment so a reader never pairs one instance's key with another's
+#: tables. Nothing mutates the tables once built.
+_kept: tuple[tuple[tuple[int, ...], int], list[tuple[int, list[int]]]] | None = None
+
+
+def _tables_for(a: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
+    """_suffix_tables(a, n), built once for a run of calls on one instance.
+
+    One slot: on a miss the old tables are dropped before the new ones are
+    built, so two instances' tables never coexist. _suffix_tables is looked
+    up at call time, so a replacement of the module global sees every build.
+    """
+    global _kept
+    kept = _kept
+    if kept is not None and kept[0] == (a, n):
+        return kept[1]
+    _kept = None
+    tables = _suffix_tables(a, n)
+    _kept = (a, n), tables
+    return tables
+
+
 def _validated(a: tuple[int, ...], n: int, x: Sequence[int]) -> Composition:
     x = tuple(x)
     if len(x) != len(a):
         raise ValueError(f"composition has {len(x)} entries, spec has {len(a)}")
     for j, (v, bound) in enumerate(zip(x, a)):
         if not _is_int(v) or v < 0:
-            raise ValueError(f"entry {j} must be a non-negative integer, got {v!r}")
+            raise ValueError(f"entry {j} must be a non-negative integer, got {_magnitude(v)}")
         if v > bound:
-            raise ValueError(f"entry {j} is {v}, over its bound {bound}")
-    if sum(x) != n:
-        raise ValueError(f"composition sums to {sum(x)}, expected {n}")
+            raise ValueError(f"entry {j} is {_magnitude(v)}, over its bound {_magnitude(bound)}")
+    total = sum(x)
+    if total != n:
+        raise ValueError(f"composition sums to {_magnitude(total)}, expected {_magnitude(n)}")
     return x
 
 
@@ -169,11 +196,12 @@ def rank(spec: Iterable[int], n: int, x: Sequence[int]) -> int:
 
     For each position, adds the number of completions below the chosen entry:
     sum over v < x_j of the count of suffixes with the leftover sum. Rejects
-    x when it violates a bound or the sum.
+    x when it violates a bound or the sum. Reads the suffix tables it shares
+    with unrank, built once per run of calls on one instance.
     """
     a = _multiplicities(spec, n)
     x = _validated(a, n, x)
-    tables = _suffix_tables(a, n)
+    tables = _tables_for(a, n)
     position = 0
     remaining = n
     for j, chosen in enumerate(x):
@@ -190,17 +218,18 @@ def rank(spec: Iterable[int], n: int, x: Sequence[int]) -> int:
 def unrank(spec: Iterable[int], n: int, r: int) -> Composition:
     """Composition of n at 0-based lexicographic position r; inverse of rank.
 
-    Raises IndexError when r is not below the total count.
+    Raises IndexError when r is not below the total count. Reads the suffix
+    tables it shares with rank, built once per run of calls on one instance.
     """
     a = _multiplicities(spec, n)
     if not _is_int(r) or r < 0:
-        raise ValueError(f"rank must be a non-negative integer, got {r!r}")
+        raise ValueError(f"rank must be a non-negative integer, got {_magnitude(r)}")
     if n > sum(a):  # no composition, and no table reaches n
-        raise IndexError(f"rank {r} out of range, only 0 compositions")
-    tables = _suffix_tables(a, n)
+        raise IndexError(f"rank {_magnitude(r)} out of range, only 0 compositions")
+    tables = _tables_for(a, n)
     total = tables[0][1][0]
     if r >= total:
-        raise IndexError(f"rank {r} out of range, only {total} compositions")
+        raise IndexError(f"rank {_magnitude(r)} out of range, only {_magnitude(total)} compositions")
     out: list[int] = []
     remaining = n
     for j in range(len(a)):

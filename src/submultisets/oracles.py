@@ -16,13 +16,14 @@ polynomial in it.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import log10, prod
+from math import prod
 from operator import mul
 
 from .core import (
     CountMethod,
     _by_recurrence,
     _is_int,
+    _magnitude,
     _multiplicities,
     _normalized,
     _recurrence_pays,
@@ -43,13 +44,7 @@ def _check_budget(budget: int) -> None:
     """Refuse, with ValueError, a budget that is not a positive int (a bool
     is no count)."""
     if not _is_int(budget) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
-
-
-def _magnitude(value: int) -> str:
-    """value in decimal below 10^20, else as a power of ten: one short line,
-    where a decimal past 4300 digits raises ValueError (int -> str limit)."""
-    return str(value) if value < 10**20 else f"10^{log10(value):.1f}"
+        raise ValueError(f"budget must be a positive integer, got {_magnitude(budget)}")
 
 
 class CountTable(tuple):

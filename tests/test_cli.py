@@ -3,11 +3,12 @@ import json
 import subprocess
 import sys
 from math import comb
+from time import perf_counter
 
 import pytest
 
 from submultisets import AgreementReport, CountMethod
-from submultisets import cli
+from submultisets import cli, enumeration
 from submultisets.cli import main
 
 
@@ -328,6 +329,37 @@ class TestLongCounts:
         assert (code, out) == (2, "")
         assert "-n" in err
         assert sys.get_int_max_str_digits() == digit_limit
+
+    # C(2132, 1066) has 641 digits: the smallest spec of ones whose count is
+    # past the lowered limit.
+    K = 2132
+
+    def test_start_rank_of_any_size(self, capsys, monkeypatch, digit_limit):
+        monkeypatch.setattr(enumeration, "_kept", None)  # drop the tables after
+        total = comb(self.K, self.K // 2)
+        argv = ["enumerate", "-m", ",".join(["1"] * self.K), "-n", str(self.K // 2),
+                "--limit", "1", "--start-rank"]
+        started = perf_counter()
+        code, out, err = run(capsys, *argv, in_full(total - 1))
+        elapsed = perf_counter() - started
+        assert (code, out, err) == (0, ",".join(["1"] * (self.K // 2) + ["0"] * (self.K // 2)) + "\n", "")
+        assert elapsed < 0.5
+        assert run(capsys, *argv, in_full(total)) == (0, "", "")  # past the end
+        assert sys.get_int_max_str_digits() == digit_limit
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "-m", "1", "-n", "1" * 5000),
+        ("count", "-m", "1", "-n", "1", "--budget", "0" * 5000),
+        ("count", "-m", "1," * 2000 + "2" * 5000, "-n", "1"),
+        ("count", "-m", "1", "-n", "1", "--method", "x" * 5000),
+        ("count", "-m", "1", "-n", "1", "7" * 5000),
+        ("enumerate", "-m", "1", "-n", "1", "--start-rank", "1" * 5000 + "x"),
+    ], ids=["n", "budget", "multiplicities", "choice", "unrecognized", "start-rank"])
+    def test_errors_echo_no_long_argument(self, capsys, digit_limit, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(" characters)\n")
+        assert len(err.splitlines()[-1]) < 200
 
 
 class TestSubprocessEntry:

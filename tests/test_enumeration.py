@@ -1,5 +1,7 @@
 """Lexicographic streaming of compositions and rank/unrank round trips."""
 import random
+import sys
+import threading
 from itertools import islice, product
 
 import pytest
@@ -171,6 +173,58 @@ class TestUnrank:
         a, n = (2, 3, 3), 5
         assert [unrank(a, n, r) for r in range(9)] == NINE
 
+    def test_rank_past_the_digit_limit(self):
+        # A decimal past 4300 digits raises ValueError (int -> str limit), so
+        # messages give such a rank as a power of ten.
+        with pytest.raises(IndexError) as info:
+            unrank((2, 3, 3), 5, 10**5000)
+        assert str(info.value) == "rank 10^5000.0 out of range, only 9 compositions"
+        with pytest.raises(IndexError, match=r"^rank 10\^5000\.0 out of range, only 0"):
+            unrank((2, 2), 5, 10**5000)
+        with pytest.raises(ValueError) as info:
+            unrank((2, 3, 3), 5, -10**5000)
+        assert str(info.value) == "rank must be a non-negative integer, got -10^5000.0"
+        # A count past 10^20 shows the same way.
+        with pytest.raises(IndexError) as info:
+            unrank((1,) * 80, 40, count_upper_constrained((1,) * 80, 40))
+        assert str(info.value) == "rank 10^23.0 out of range, only 10^23.0 compositions"
+
+
+class TestMessages:
+    """Caller-supplied ints of any size show as one short line."""
+
+    HUGE = 10**5000
+
+    @pytest.mark.parametrize("x, message", [
+        ((HUGE, 0, 0), "entry 0 is 10^5000.0, over its bound 2"),
+        ((-HUGE, 0, 0), "entry 0 must be a non-negative integer, got -10^5000.0"),
+        ((1, 1, 1), "composition sums to 3, expected 5"),
+    ], ids=["over-bound", "negative", "sum"])
+    def test_rank(self, x, message):
+        with pytest.raises(ValueError) as info:
+            rank((2, 3, 3), 5, x)
+        assert str(info.value) == message
+
+    def test_huge_bound_and_sum(self):
+        with pytest.raises(ValueError) as info:
+            rank((self.HUGE, 1), 1, (self.HUGE + 1, 0))
+        assert str(info.value) == "entry 0 is 10^5000.0, over its bound 10^5000.0"
+        with pytest.raises(ValueError) as info:
+            rank((self.HUGE, 1), self.HUGE, (self.HUGE - 1, 0))
+        assert str(info.value) == "composition sums to 10^5000.0, expected 10^5000.0"
+
+    @pytest.mark.parametrize("spec, n, message", [
+        ((1,), -HUGE, "n must be non-negative, got -10^5000.0"),
+        ((-HUGE,), 1, "multiplicity must be non-negative, got -10^5000.0"),
+        ((1,), 1.5, "n must be an integer, got 1.5"),
+        ((True,), 1, "multiplicity must be an integer, got True"),
+    ], ids=["negative-n", "negative-multiplicity", "float-n", "bool-multiplicity"])
+    def test_input_gate(self, spec, n, message):
+        for call in (lambda: count_upper_constrained(spec, n), lambda: iterate(spec, n)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
 
 class TestSuffixTables:
     """White-box: the tables rank and unrank read hold only the sums that can
@@ -209,6 +263,115 @@ class TestSuffixTables:
         assert returned
         assert sum(returned) <= window / 2 + len(a)
         assert tables == suffix_tables_reference(a, n)
+
+
+class TestKeptTables:
+    """rank and unrank share the last instance's suffix tables: one build for
+    a run of calls on it, and every check still made on each call."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The instances _suffix_tables is built for, from an empty slot; the
+        test's tables are dropped after it."""
+        monkeypatch.setattr(enumeration, "_kept", None)
+        build = enumeration._suffix_tables
+        seen = []
+
+        def spy(a, n):
+            seen.append((a, n, enumeration._kept))
+            return build(a, n)
+
+        monkeypatch.setattr(enumeration, "_suffix_tables", spy)
+        return seen
+
+    def test_one_build_for_many_calls(self, builds):
+        a = tuple(random.Random(4).randint(0, 6) for _ in range(30))
+        n = sum(a) // 2
+        total = count_upper_constrained(a, n)
+        rng = random.Random(8)
+        for _ in range(100):
+            r = rng.randrange(total)
+            assert rank(a, n, unrank(a, n, r)) == r
+        assert builds == [(a, n, None)]
+
+    def test_a_miss_drops_the_old_tables_before_building(self, builds):
+        for a, n in [((2, 3, 3), 5), ((2, 3, 3), 4), ((4, 4), 4), ((2, 3, 3), 4)]:
+            unrank(a, n, 0)
+        # Each build found the slot empty, and the repeat of the last
+        # instance built again.
+        assert builds == [((2, 3, 3), 5, None), ((2, 3, 3), 4, None),
+                          ((4, 4), 4, None), ((2, 3, 3), 4, None)]
+
+    def test_a_hit_still_checks_every_argument(self, builds):
+        a, n = (2, 3, 3), 5
+        unrank(a, n, 0)
+        for bad in [(3, 0, 2), (0, 2, 2), (0, 2), (-1, 3, 3)]:
+            with pytest.raises(ValueError):
+                rank(a, n, bad)
+        for bad in [-1, True, 2.0]:
+            with pytest.raises(ValueError):
+                unrank(a, n, bad)
+        with pytest.raises(IndexError, match="only 9 compositions"):
+            unrank(a, n, 9)
+        with pytest.raises(ValueError):
+            unrank([2, -3, 3], n, 0)
+        with pytest.raises(ValueError):
+            rank(a, -5, (0, 2, 3))
+        assert len(builds) == 1
+        with pytest.raises(IndexError, match="only 0 compositions"):
+            unrank(a, 9, 0)  # n > N exits before the lookup
+        assert len(builds) == 1
+        assert unrank(a, n, 8) == NINE[8]
+
+    def test_kept_tables_equal_a_fresh_build(self, builds):
+        a = tuple(random.Random(6).randint(0, 5) for _ in range(12))
+        n = sum(a) // 2
+        total = count_upper_constrained(a, n)
+        rng = random.Random(9)
+        for _ in range(300):
+            x = unrank(list(a), n, rng.randrange(total))
+            rank(a, n, x)
+        key, tables = enumeration._kept
+        assert key == (a, n) and type(key[0]) is tuple
+        assert tables == enumeration._suffix_tables(a, n) == suffix_tables_reference(a, n)
+
+
+    def test_threads_read_only_their_own_instances_tables(self, monkeypatch):
+        # Four threads on two cores, switching every microsecond, each
+        # cycling over the same three instances from its own start: a key
+        # paired with another instance's tables, read while a build runs,
+        # would give a wrong composition or rank.
+        monkeypatch.setattr(enumeration, "_kept", None)
+        rng = random.Random(12)
+        a = tuple(rng.randint(0, 4) for _ in range(16))
+        instances = [(a, sum(a) // 2), (a, sum(a) // 3), (a[::-1], sum(a) // 2)]
+        totals = [count_upper_constrained(*instance) for instance in instances]
+        wrong = []
+
+        def draws(start):
+            for step in range(60):
+                i = (start + step) % 3
+                a, n = instances[i]
+                r = (start * 7919 + step * 104729) % totals[i]
+                try:
+                    back = rank(a, n, unrank(a, n, r))
+                except (ValueError, IndexError) as exc:  # x over a bound, say
+                    back = exc
+                if back != r:
+                    wrong.append((i, r, back))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draws, args=(start,)) for start in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestBijection:

@@ -3,7 +3,8 @@ unnormalized brute-force oracle and against each other, the recurrence
 kernel against the window fold and either route of count_dp and full_table
 against the other, the shape of the count table, the enumeration stream at
 wide dimension, the rank tables against a full-window reference, and
-rank/unrank against that stream."""
+rank/unrank against that stream, also when calls on a few instances
+interleave."""
 from contextlib import contextmanager
 from itertools import islice
 from math import prod
@@ -14,11 +15,13 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from submultisets import (
+    MultisetSpec,
     count_brute_force,
     count_dp,
     count_upper_constrained,
     full_table,
     iterate,
+    enumeration,
     oracles,
     rank,
     unrank,
@@ -257,3 +260,24 @@ def test_rank_unrank_match_the_stream_at_every_n(a, leading, trailing):
             assert unrank(a, n, i) == x
     with pytest.raises(IndexError):
         unrank(a, total + 1, 0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(specs(max_k=6, max_bound=4), specs(max_k=6, max_bound=4), st.data())
+def test_interleaved_rank_unrank_match_the_stream(a, b, data):
+    # rank and unrank keep the last instance's tables: calls in random order
+    # over one spec at two n, two specs at one n, and each spec passed as a
+    # tuple, a list or a MultisetSpec must read only their own instance's.
+    n = data.draw(st.integers(0, min(sum(a), sum(b))))
+    instances = [(a, n), (a, data.draw(st.integers(0, sum(a)))), (b, n)]
+    streams = [list(iterate(spec, m)) for spec, m in instances]
+    for _ in range(data.draw(st.integers(1, 12))):
+        i = data.draw(st.integers(0, 2))
+        spec, m = instances[i]
+        given_as = data.draw(st.sampled_from([tuple, list, MultisetSpec]))(spec)
+        r = data.draw(st.integers(0, len(streams[i]) - 1))
+        if data.draw(st.booleans()):
+            assert unrank(given_as, m, r) == streams[i][r]
+        else:
+            assert rank(given_as, m, streams[i][r]) == r
+        assert enumeration._kept == ((spec, m), suffix_tables_reference(spec, m))
