@@ -9,48 +9,39 @@ Every subcommand also takes --format text|json|csv (default text).
 --budget B, a positive integer (default 10^7), caps the compositions brute
 force may visit; count and check hand it to the library as a plain int.
 Results go to stdout, diagnostics to stderr (check notes each skipped method
-and why there). Exit codes: 0 success, 2
-malformed input, 3 brute force over its budget, 4 cross-check disagreement.
-Counts print in full; in JSON output they are decimal strings, since they
-routinely exceed the integer range of downstream consumers. --start-rank
-takes any number of digits, since its range is the count's; the other
-integers are parsed under the interpreter's int -> str digit limit, and a
-usage error shows at most 100 characters of its message. json is imported
-only by the branches that print it, since most processes print text.
+and why there). Exit codes: 0 success, 1 stdout closed by its reader
+(say, `| head`; nothing goes to stderr), 2 malformed input, 3 brute force
+over its budget, 4 cross-check disagreement. Counts print in full; in JSON
+output they are decimal strings, since they routinely exceed the integer
+range of downstream consumers.
+
+Every integer is parsed under the interpreter's int -> str digit limit
+except --start-rank, which is checked the same way but kept as text, since
+its range is the count's. main lifts the limit in one block around the
+command, where the rank becomes an int and counts print, and puts it back
+after. A usage error shows at most 100 characters of its message.
+enumerate and table write their rows from one format string per call,
+streamed, one row per item. json is imported only by the branches that
+print it, since most processes print text.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Sequence
 from itertools import islice
-from typing import NoReturn
 
 from .core import CountMethod
 from .enumeration import iterate, unrank
 from .oracles import DEFAULT_BUDGET_ITEMS, BudgetExceededError, count, cross_check, full_table
 
 
-@contextmanager
-def _unlimited_digits() -> Iterator[None]:
-    """Lift the interpreter's int <-> str digit limit (3.10.7+, 3.11+) for
-    the block, and put the old value back after it."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose error message stays short: argparse echoes a
     bad value, an invalid choice or an unrecognized argument in full."""
 
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str):  # exits 2, as ArgumentParser.error does
         if len(message) > 100:
             message = f"{message[:100]}... ({len(message)} characters)"
         super().error(message)
@@ -63,12 +54,18 @@ def multiplicity_list(text: str) -> tuple[int, ...]:
     return tuple([nonnegative_int(part) for part in text.split(",")])
 
 
-def nonnegative_int(text: str) -> int:
-    """argparse type: ASCII decimal digits only. No sign, underscore,
-    whitespace or non-ASCII digit, all of which int() would accept."""
+def _digits(text: str) -> str:
+    """argparse type for --start-rank: ASCII decimal digits only. No sign,
+    underscore, whitespace or non-ASCII digit, all of which int() would
+    accept. The text is returned unconverted."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a non-negative decimal integer: {text!r}")
-    return int(text)
+    return text
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type: _digits, as an int."""
+    return int(_digits(text))
 
 
 def positive_int(text: str) -> int:
@@ -76,13 +73,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise ValueError("must be positive")
     return value
-
-
-def rank_int(text: str) -> int:
-    """argparse type for --start-rank: nonnegative_int with no digit limit,
-    since a rank can be as long as the count, which prints in full."""
-    with _unlimited_digits():
-        return nonnegative_int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def instance_args(p: argparse.ArgumentParser, with_n: bool = True) -> None:
+    def command(name: str, run: Callable[[argparse.Namespace], int], summary: str,
+                with_n: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument(
             "-m", "--multiplicities", type=multiplicity_list, required=True,
             help="comma-separated non-negative multiplicities, e.g. 5,9,14",
@@ -107,31 +100,23 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("text", "json", "csv"), default="text",
             help="output format (default text)",
         )
+        return p
 
-    p_count = sub.add_parser("count", help="print the exact count for one cardinality")
-    instance_args(p_count)
+    p_count = command("count", _run_count, "print the exact count for one cardinality")
     p_count.add_argument(
         "--method", choices=[m.value for m in CountMethod], default=CountMethod.DYNAMIC_PROGRAMMING.value,
         help="counting algorithm (default dp)",
     )
-    p_count.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET_ITEMS,
-                         help="max compositions the brute method may visit")
-
-    p_table = sub.add_parser("table", help="print counts for every cardinality 0..N")
-    instance_args(p_table, with_n=False)
-
-    p_enum = sub.add_parser("enumerate", help="list the compositions in lexicographic order")
-    instance_args(p_enum)
+    command("table", _run_table, "print counts for every cardinality 0..N", with_n=False)
+    p_enum = command("enumerate", _run_enumerate, "list the compositions in lexicographic order")
     p_enum.add_argument("--limit", type=nonnegative_int, default=None,
                         help="print at most this many compositions")
-    p_enum.add_argument("--start-rank", type=rank_int, default=0,
+    p_enum.add_argument("--start-rank", type=_digits, default="0",
                         help="skip to this 0-based rank before printing")
-
-    p_check = sub.add_parser("check", help="run all applicable methods and compare")
-    instance_args(p_check)
-    p_check.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET_ITEMS,
-                         help="max compositions the brute method may visit")
-
+    p_check = command("check", _run_check, "run all applicable methods and compare")
+    for p in (p_count, p_check):
+        p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET_ITEMS,
+                       help="max compositions the brute method may visit")
     return parser
 
 
@@ -151,35 +136,28 @@ def _run_table(args: argparse.Namespace) -> int:
         import json
         print(json.dumps([str(c) for c in table]))
     else:
-        for n, c in enumerate(table):
-            print(f"{n},{c}")
+        sys.stdout.writelines(map("%d,%d\n".__mod__, enumerate(table)))
     return 0
 
 
 def _run_enumerate(args: argparse.Namespace) -> int:
-    spec, n = args.multiplicities, args.n
-    if args.start_rank > 0:
-        try:
-            first = unrank(spec, n, args.start_rank)
-        except IndexError:
-            first = None  # past the end of the stream: nothing to print
-        stream = iter(()) if first is None else iterate(spec, n, start=first)
-    else:
-        stream = iterate(spec, n)
+    spec, n, start_rank = args.multiplicities, args.n, int(args.start_rank)
+    try:
+        start = unrank(spec, n, start_rank) if start_rank else None
+        stream = iterate(spec, n, start=start)
+    except IndexError:  # past the end of the stream: nothing to print
+        stream = iter(())
     if args.limit is not None:
         stream = islice(stream, args.limit)
     if args.format == "json":
         # Streamed array, byte-identical to json.dumps of the list of lists.
-        write = sys.stdout.write
-        write("[")
-        sep = ""
-        for x in stream:
-            write(f"{sep}[{', '.join(map(str, x))}]")
-            sep = ", "
-        write("]\n")
+        # Each row carries its separator; the first row's is cut off.
+        rows = map((", [" + ", ".join(["%d"] * len(spec)) + "]").__mod__, stream)
+        sys.stdout.write("[" + next(rows, ", ")[2:])
+        sys.stdout.writelines(rows)
+        sys.stdout.write("]\n")
     else:
-        for x in stream:
-            print(",".join(map(str, x)))
+        sys.stdout.writelines(map((",".join(["%d"] * len(spec)) + "\n").__mod__, stream))
     return 0
 
 
@@ -188,31 +166,17 @@ def _run_check(args: argparse.Namespace) -> int:
     for m in CountMethod:
         if m in report.skipped:
             print(f"note: {m.value} skipped: {report.skipped[m]}", file=sys.stderr)
+    values = [(m.value, report.values.get(m)) for m in CountMethod]
     if args.format == "json":
         import json
-        payload: dict[str, object] = {
-            m.value: (str(report.values[m]) if m in report.values else None)
-            for m in CountMethod
-        }
+        payload: dict[str, object] = {name: v if v is None else str(v) for name, v in values}
         payload["agree"] = report.agree
         print(json.dumps(payload))
     else:
         sep = "," if args.format == "csv" else " "
-        for m in CountMethod:
-            if m in report.values:
-                print(f"{m.value}{sep}{report.values[m]}")
-            else:
-                print(f"{m.value}{sep}skipped")
+        sys.stdout.writelines(f"{name}{sep}{'skipped' if v is None else v}\n" for name, v in values)
         print("AGREE" if report.agree else "DISAGREE")
     return 0 if report.agree else 4
-
-
-_DISPATCH = {
-    "count": _run_count,
-    "table": _run_table,
-    "enumerate": _run_enumerate,
-    "check": _run_check,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -221,16 +185,32 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad input, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
-    # Counts print in full; the input was parsed under the int -> str limit.
-    with _unlimited_digits():
-        try:
-            return _DISPATCH[args.command](args)
-        except BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except (ValueError, IndexError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    # Ranks and counts of any size: lift the int <-> str digit limit
+    # (3.10.7+, 3.11+) for the command, and put the old value back after.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader stopped reading: point stdout's descriptor at devnull,
+        # so what is left in its buffer goes there when the interpreter
+        # flushes it at exit, not to the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

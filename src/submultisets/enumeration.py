@@ -20,7 +20,7 @@ instance drops them, about 1.9 MB at k = 200, n = 550.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from collections.abc import Iterable, Iterator, Sequence
 
 from .core import _is_int, _magnitude, _multiplicities, _window_fold
@@ -124,7 +124,7 @@ def iterate(spec: Iterable[int], n: int, *, start: Sequence[int] | None = None) 
     heads = a[:split] + (sum(a[split:]),)
     head_start = None if start is None else start[:split] + (n - sum(start[:split]),)
     states = _successors(heads, n, head_start)
-    return chain.from_iterable(_blocks(states, a[split:], n, start))
+    return chain.from_iterable(_blocks(states, a[split:], start))
 
 
 def _successors(a: tuple[int, ...], n: int, start: Composition | None) -> Iterator[Composition]:
@@ -164,24 +164,20 @@ def _successors(a: tuple[int, ...], n: int, start: Composition | None) -> Iterat
         j, i = i, k - 1
 
 
-def _tails_by_sum(tail: tuple[int, ...], n: int) -> list[list[Composition]]:
-    """lists[r] = every composition of r <= n under the tail's bounds, ascending."""
-    lists: list[list[Composition]] = [[()]]
-    for bound in reversed(tail):
-        top = len(lists) - 1
-        lists = [[(v,) + rest
-                  for v in range(max(0, r - top), min(bound, r) + 1)
-                  for rest in lists[r - v]]
-                 for r in range(min(top + bound, n) + 1)]
+def _tails_by_sum(tail: tuple[int, ...]) -> list[list[Composition]]:
+    """lists[r] = every composition of r under the tail's bounds, ascending."""
+    lists: list[list[Composition]] = [[] for _ in range(sum(tail) + 1)]
+    for t in product(*[range(bound + 1) for bound in tail]):  # ascending
+        lists[sum(t)].append(t)
     return lists
 
 
 def _blocks(
-    states: Iterator[Composition], tail: tuple[int, ...], n: int, start: Composition | None
+    states: Iterator[Composition], tail: tuple[int, ...], start: Composition | None
 ) -> Iterator[Iterator[Composition]]:
     # A state fixes the leading positions and ends with the tail's sum r; its
     # block is the state's prefix joined to every tail summing to r, in order.
-    tails = _tails_by_sum(tail, n)
+    tails = _tails_by_sum(tail)
     for state in states:
         block = tails[state[-1]]
         if start is not None:
@@ -206,11 +202,11 @@ def rank(spec: Iterable[int], n: int, x: Sequence[int]) -> int:
     remaining = n
     for j, chosen in enumerate(x):
         low, table = tables[j + 1]
-        # The suffix takes sum remaining - v = low + (top - v), at most
-        # low + len(table) - 1, so v is at least top - len(table) + 1.
+        # Each v < chosen leaves the suffix sum remaining - v = low + (top - v)
+        # with top - v from top - chosen + 1 up to top; the slice drops the
+        # sums above the table, which the suffix cannot reach.
         top = remaining - low
-        for v in range(max(0, top - len(table) + 1), chosen):
-            position += table[top - v]
+        position += sum(table[top - chosen + 1:top + 1])
         remaining -= chosen
     return position
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -174,6 +175,10 @@ class TestEnumerate:
         ("2,3,3", 5, ("--start-rank", "9")),  # past the end
         ("2,3,3", 5, ("--limit", "0")),
         ("4,0,12,3", 6, ("--start-rank", "5", "--limit", "20")),
+        ("7", 3, ()),                         # k = 1
+        ("7", 3, ("--start-rank", "1")),      # k = 1, past the end
+        (",".join(["2"] * 40), 3, ("--limit", "300")),  # k = 40, past BLOCKS_MAX_K
+        (",".join(["2"] * 40), 3, ("--start-rank", "11000", "--limit", "300")),
     ])
     def test_json_bytes_match_json_dumps(self, capsys, m, n, extra):
         code, text_out, _ = run(capsys, "enumerate", "-m", m, "-n", str(n), *extra)
@@ -382,16 +387,36 @@ class TestSubprocessEntry:
         assert proc.stdout == ""
         assert "error:" in proc.stderr
 
+    @pytest.mark.parametrize("fmt,first", [("text", "0,0,0,0,6,6,6,6\n"),
+                                           ("json", "[[0, 0, 0, 0, 6, 6, 6, 6], ")],
+                             ids=["text", "json"])
+    def test_closed_stdout_exits_1_quietly(self, fmt, first):
+        """A reader that stops early, as `| head -1` does: no traceback, and
+        exit 1. The stream, 398,567 rows, is far longer than a pipe's buffer."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "submultisets.cli", "enumerate", "-m", "6,6,6,6,6,6,6,6",
+             "-n", "24", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.read(len(first)) == first
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), stderr) == (1, "")
+
     def test_import_adds_no_heavy_modules(self):
         """Importing the CLI pulls in none of the modules it has no use for in
-        most processes. Compared with the same child's start-up modules, since
-        site may already load some of them (typing, for one)."""
+        most processes. Compared with the same child's start-up modules; the
+        child skips site (-S), which may load some of them (typing, for one),
+        and the environment (-E), and finds the package in src."""
+        src = Path(__file__).resolve().parent.parent / "src"
         code = ("import sys\n"
+                f"sys.path.insert(0, {str(src)!r})\n"
                 "before = set(sys.modules)\n"
                 "import submultisets.cli\n"
                 "print(' '.join(sorted(set(sys.modules) - before)))\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True)
+        proc = subprocess.run([sys.executable, "-E", "-S", "-c", code], capture_output=True,
+                              text=True, check=True)
         added = set(proc.stdout.split())
         assert "submultisets.cli" in added
         assert added.isdisjoint({"dataclasses", "inspect", "typing", "json", "ast", "dis"}), added
