@@ -57,9 +57,11 @@ def multiplicity_list(text: str) -> tuple[int, ...]:
 def _digits(text: str) -> str:
     """argparse type for --start-rank: ASCII decimal digits only. No sign,
     underscore, whitespace or non-ASCII digit, all of which int() would
-    accept. The text is returned unconverted."""
+    accept. The text is returned unconverted. ArgumentTypeError puts the
+    message in the usage error, where a ValueError would name this
+    function."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a non-negative decimal integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a non-negative decimal integer: {text!r}")
     return text
 
 
@@ -71,7 +73,7 @@ def nonnegative_int(text: str) -> int:
 def positive_int(text: str) -> int:
     value = nonnegative_int(text)
     if value < 1:
-        raise ValueError("must be positive")
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return value
 
 

@@ -12,10 +12,12 @@ counting against per-suffix count tables (Nijenhuis & Wilf, Combinatorial
 Algorithms, 1978). Each table keeps only the sums its suffix can take that
 the positions to its left can still make up to n, so a table is cut from
 below as well as from above, and core's window fold folds it only up to its
-middle. rank and unrank share the tables of the last instance either was
-called on, so an unrank followed by its rank, or many draws from one
-instance, build them once. Those tables stay alive until a call on another
-instance drops them, about 1.9 MB at k = 200, n = 550.
+middle. rank and unrank share the tables of the instances they were
+called on most recently, up to _KEPT_CELLS cells in all, so an unrank
+followed by its rank, or draws interleaved over a few instances, build each
+instance's tables once. The least recently used are dropped first; the
+newest are kept even when they alone exceed the cap, until a call on
+another instance drops them.
 """
 from __future__ import annotations
 
@@ -58,27 +60,62 @@ def _suffix_tables(a: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
     return tables
 
 
-#: The last instance's suffix tables, ((a, n), tables), written in one
-#: assignment so a reader never pairs one instance's key with another's
-#: tables. Nothing mutates the tables once built.
-_kept: tuple[tuple[tuple[int, ...], int], list[tuple[int, list[int]]]] | None = None
+def _table_cells(a: tuple[int, ...], n: int) -> int:
+    """len summed over the tables of _suffix_tables(a, n), in O(k) and
+    without building them: table j holds the sums from max(0, n - P_j) up
+    to min(n, S_j), where P_j = a_1 + ... + a_{j-1} and S_j = a_j + ... + a_k,
+    and the empty suffix's table holds one. Needs n <= N.
+    """
+    cells, before, after = 1, 0, sum(a)
+    for m in a:
+        cells += min(n, after) - max(0, n - before) + 1
+        before += m
+        after -= m
+    return cells
+
+
+#: The most table cells _kept holds together, about 2.9 MB at the 36 bytes
+#: a cell of a k = 200, n = 550 instance, whose tables hold about 56,000:
+#: room for one such instance beside several smaller ones. The sample
+#: benchmark's four repeated instances (k = 20, 50, 100, 200) take 71,000 to
+#: 75,000 cells. Under a cap of 76,000 or 78,000 a fresh k = 50 draw can evict
+#: one of them, and throughput ranged 1.8-2.6x the one-instance store's by
+#: seed, against 2.4-2.7x at 80,000 (2-vCPU VM, Python 3.11.7).
+_KEPT_CELLS = 80_000
+
+#: Recent instances' suffix tables, {(a, n): (cells, tables)}, least
+#: recently used first. Nothing mutates the tables once built.
+_kept: dict[tuple[tuple[int, ...], int], tuple[int, list[tuple[int, list[int]]]]] = {}
 
 
 def _tables_for(a: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
-    """_suffix_tables(a, n), built once for a run of calls on one instance.
+    """_suffix_tables(a, n), built once while the instance stays among the
+    recent ones _kept holds.
 
-    One slot: on a miss the old tables are dropped before the new ones are
-    built, so two instances' tables never coexist. _suffix_tables is looked
-    up at call time, so a replacement of the module global sees every build.
+    A hit moves the instance to the most recent end. A miss counts the cells
+    the build will make and, before building, evicts the least recently
+    used instances until those kept and the new ones fit in _KEPT_CELLS, so
+    the build reuses the memory they held; an instance over the cap on its
+    own is kept alone. The newest instance is always kept, however large.
+
+    No lock: every step on _kept is one dict operation, eviction walks a
+    snapshot of its keys and pops with a default, so threads that race on
+    it at worst build an instance twice, evict one early or, while their
+    builds overlap, keep more than the cap. _suffix_tables is looked up at
+    call time, so a replacement of the module global sees every build.
     """
-    global _kept
-    kept = _kept
-    if kept is not None and kept[0] == (a, n):
-        return kept[1]
-    _kept = None
-    tables = _suffix_tables(a, n)
-    _kept = (a, n), tables
-    return tables
+    key = a, n
+    entry = _kept.pop(key, None)
+    if entry is None:
+        cells = _table_cells(a, n)
+        held = sum(c for c, _ in list(_kept.values()))
+        for old in list(_kept):  # least recently used first
+            if held + cells <= _KEPT_CELLS:
+                break
+            held -= _kept.pop(old, (0, None))[0]
+        entry = cells, _suffix_tables(a, n)
+    _kept[key] = entry
+    return entry[1]
 
 
 def _validated(a: tuple[int, ...], n: int, x: Sequence[int]) -> Composition:

@@ -86,6 +86,21 @@ class TestCountErrors:
         assert (code, out) == (2, "")
         assert err != ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (("count", "-m", "3,4", "-n", "+1"),
+         "argument -n/--n: not a non-negative decimal integer: '+1'"),
+        (("enumerate", "-m", "3,4", "-n", "1", "--start-rank", "-1"),
+         "argument --start-rank: not a non-negative decimal integer: '-1'"),
+        (("count", "-m", "3,x", "-n", "1"),
+         "argument -m/--multiplicities: not a non-negative decimal integer: 'x'"),
+        (("count", "-m", "3,4", "-n", "1", "--budget", "0"),
+         "argument --budget: not a positive integer: '0'"),
+    ], ids=["n", "start-rank", "multiplicities", "budget"])
+    def test_integer_errors_name_no_function(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"submultisets {argv[0]}: error: {message}"
+
     def test_incexc_capacity_exit(self, capsys):
         # inclusion-exclusion serves any dimension
         m = ",".join(["1"] * 64)
@@ -340,7 +355,7 @@ class TestLongCounts:
     K = 2132
 
     def test_start_rank_of_any_size(self, capsys, monkeypatch, digit_limit):
-        monkeypatch.setattr(enumeration, "_kept", None)  # drop the tables after
+        monkeypatch.setattr(enumeration, "_kept", {})  # drop the tables after
         total = comb(self.K, self.K // 2)
         argv = ["enumerate", "-m", ",".join(["1"] * self.K), "-n", str(self.K // 2),
                 "--limit", "1", "--start-rank"]

@@ -243,6 +243,14 @@ class TestSuffixTables:
                     assert counts == [count_upper_constrained(a[j:], s)
                                       for s in range(low, low + len(counts))]
 
+    def test_table_cells_count_the_built_tables(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            a = tuple(rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(rng.randint(0, 12)))
+            for n in range(sum(a) + 1):
+                tables = enumeration._suffix_tables(a, n)
+                assert enumeration._table_cells(a, n) == sum(len(t) for _, t in tables), (a, n)
+
     def test_folds_each_table_only_up_to_its_middle(self, monkeypatch):
         # At n = N // 2 the mirror of every sum above the middle lies in its
         # table's window, so the folds return at most about half the cells.
@@ -266,19 +274,24 @@ class TestSuffixTables:
 
 
 class TestKeptTables:
-    """rank and unrank share the last instance's suffix tables: one build for
-    a run of calls on it, and every check still made on each call."""
+    """rank and unrank share recent instances' suffix tables, up to a cap on
+    their cells: one build for a run of calls on an instance kept, and every
+    check still made on each call."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The instances _suffix_tables is built for, from an empty slot; the
-        test's tables are dropped after it."""
-        monkeypatch.setattr(enumeration, "_kept", None)
+        """The instances _suffix_tables is built for, from an empty store,
+        each with whether the cells kept at that point plus the new ones fit
+        in the cap, or nothing was kept; the test's tables are dropped
+        after it."""
+        monkeypatch.setattr(enumeration, "_kept", {})
         build = enumeration._suffix_tables
         seen = []
 
         def spy(a, n):
-            seen.append((a, n, enumeration._kept))
+            kept = enumeration._kept
+            after = sum(cells for cells, _ in kept.values()) + enumeration._table_cells(a, n)
+            seen.append((a, n, not kept or after <= enumeration._KEPT_CELLS))
             return build(a, n)
 
         monkeypatch.setattr(enumeration, "_suffix_tables", spy)
@@ -292,15 +305,27 @@ class TestKeptTables:
         for _ in range(100):
             r = rng.randrange(total)
             assert rank(a, n, unrank(a, n, r)) == r
-        assert builds == [(a, n, None)]
+        assert builds == [(a, n, True)]
 
-    def test_a_miss_drops_the_old_tables_before_building(self, builds):
-        for a, n in [((2, 3, 3), 5), ((2, 3, 3), 4), ((4, 4), 4), ((2, 3, 3), 4)]:
-            unrank(a, n, 0)
-        # Each build found the slot empty, and the repeat of the last
-        # instance built again.
-        assert builds == [((2, 3, 3), 5, None), ((2, 3, 3), 4, None),
-                          ((4, 4), 4, None), ((2, 3, 3), 4, None)]
+    def test_a_miss_evicts_the_least_recent_before_building(self, builds, monkeypatch):
+        # 9, 9 and 7 cells under a cap of 20: two of them fit, three do not;
+        # the ones are 36 cells, over the cap on their own.
+        monkeypatch.setattr(enumeration, "_KEPT_CELLS", 20)
+        first, second, third = ((2, 3, 3), 5), ((2, 3, 3), 4), ((4, 4), 4)
+        big = ((1,) * 10, 5)
+        assert [enumeration._table_cells(*i) for i in (first, second, third, big)] == [9, 9, 7, 36]
+        for instance, kept in [
+            (first, [first]), (second, [first, second]), (first, [second, first]),
+            (third, [first, third]),  # second, the least recent, is evicted
+            (first, [third, first]), (second, [first, second]), (third, [second, third]),
+            (big, [big]), (big, [big]), (big, [big]),  # kept alone, built once
+            (first, [first]),
+        ]:
+            unrank(*instance, 0)
+            assert list(enumeration._kept) == kept
+        # A repeat of an evicted instance builds again; every build fit.
+        assert builds == [first + (True,), second + (True,), third + (True,), second + (True,),
+                          third + (True,), big + (True,), first + (True,)]
 
     def test_a_hit_still_checks_every_argument(self, builds):
         a, n = (2, 3, 3), 5
@@ -331,31 +356,28 @@ class TestKeptTables:
         for _ in range(300):
             x = unrank(list(a), n, rng.randrange(total))
             rank(a, n, x)
-        key, tables = enumeration._kept
+        [key] = enumeration._kept
         assert key == (a, n) and type(key[0]) is tuple
+        cells, tables = enumeration._kept[key]
         assert tables == enumeration._suffix_tables(a, n) == suffix_tables_reference(a, n)
+        assert cells == enumeration._table_cells(a, n) == sum(len(counts) for _, counts in tables)
 
-
-    def test_threads_read_only_their_own_instances_tables(self, monkeypatch):
-        # Four threads on two cores, switching every microsecond, each
-        # cycling over the same three instances from its own start: a key
-        # paired with another instance's tables, read while a build runs,
-        # would give a wrong composition or rank.
-        monkeypatch.setattr(enumeration, "_kept", None)
-        rng = random.Random(12)
-        a = tuple(rng.randint(0, 4) for _ in range(16))
-        instances = [(a, sum(a) // 2), (a, sum(a) // 3), (a[::-1], sum(a) // 2)]
+    @staticmethod
+    def draw_in_threads(instances):
+        """Four threads on two cores, switching every microsecond, each
+        cycling over the instances from its own start; returns every draw
+        whose rank did not come back, or that raised."""
         totals = [count_upper_constrained(*instance) for instance in instances]
         wrong = []
 
         def draws(start):
-            for step in range(60):
-                i = (start + step) % 3
+            for step in range(200):
+                i = (start + step) % len(instances)
                 a, n = instances[i]
                 r = (start * 7919 + step * 104729) % totals[i]
                 try:
                     back = rank(a, n, unrank(a, n, r))
-                except (ValueError, IndexError) as exc:  # x over a bound, say
+                except Exception as exc:  # x over a bound, or a race on the store
                     back = exc
                 if back != r:
                     wrong.append((i, r, back))
@@ -371,7 +393,30 @@ class TestKeptTables:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
-        assert wrong == []
+        return wrong
+
+    @pytest.fixture
+    def three(self, monkeypatch):
+        """Three instances of 16 bounds, from an empty store."""
+        monkeypatch.setattr(enumeration, "_kept", {})
+        rng = random.Random(12)
+        a = tuple(rng.randint(0, 4) for _ in range(16))
+        return [(a, sum(a) // 2), (a, sum(a) // 3), (a[::-1], sum(a) // 2)]
+
+    def test_threads_read_only_their_own_instances_tables(self, three):
+        # A key paired with another instance's tables, read while a build
+        # runs, would give a wrong composition or rank.
+        assert self.draw_in_threads(three) == []
+
+    def test_threads_evicting_each_other(self, three, monkeypatch):
+        # Each instance fits the cap alone and no two fit together, so
+        # nearly every draw evicts while other threads look up, pop and
+        # build: a walk over the live store would raise RuntimeError, an
+        # unguarded delete KeyError.
+        cells = [enumeration._table_cells(*instance) for instance in three]
+        assert min(cells) * 2 > max(cells)
+        monkeypatch.setattr(enumeration, "_KEPT_CELLS", max(cells))
+        assert self.draw_in_threads(three) == []
 
 
 class TestBijection:

@@ -265,19 +265,30 @@ def test_rank_unrank_match_the_stream_at_every_n(a, leading, trailing):
 @settings(deadline=None, max_examples=100)
 @given(specs(max_k=6, max_bound=4), specs(max_k=6, max_bound=4), st.data())
 def test_interleaved_rank_unrank_match_the_stream(a, b, data):
-    # rank and unrank keep the last instance's tables: calls in random order
-    # over one spec at two n, two specs at one n, and each spec passed as a
-    # tuple, a list or a MultisetSpec must read only their own instance's.
+    # rank and unrank keep recent instances' tables under a cap on their
+    # cells: calls in random order over one spec at two n, two specs at one
+    # n, and each spec passed as a tuple, a list or a MultisetSpec must read
+    # only their own instance's. A cap drawn from 1 to all three instances'
+    # cells makes them evict each other, down to one kept over the cap.
     n = data.draw(st.integers(0, min(sum(a), sum(b))))
     instances = [(a, n), (a, data.draw(st.integers(0, sum(a)))), (b, n)]
     streams = [list(iterate(spec, m)) for spec, m in instances]
-    for _ in range(data.draw(st.integers(1, 12))):
-        i = data.draw(st.integers(0, 2))
-        spec, m = instances[i]
-        given_as = data.draw(st.sampled_from([tuple, list, MultisetSpec]))(spec)
-        r = data.draw(st.integers(0, len(streams[i]) - 1))
-        if data.draw(st.booleans()):
-            assert unrank(given_as, m, r) == streams[i][r]
-        else:
-            assert rank(given_as, m, streams[i][r]) == r
-        assert enumeration._kept == ((spec, m), suffix_tables_reference(spec, m))
+    cap = data.draw(st.integers(1, sum(enumeration._table_cells(*i) for i in instances)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_KEPT_CELLS", cap)
+        mp.setattr(enumeration, "_kept", {})
+        for _ in range(data.draw(st.integers(1, 12))):
+            i = data.draw(st.integers(0, 2))
+            spec, m = instances[i]
+            given_as = data.draw(st.sampled_from([tuple, list, MultisetSpec]))(spec)
+            r = data.draw(st.integers(0, len(streams[i]) - 1))
+            if data.draw(st.booleans()):
+                assert unrank(given_as, m, r) == streams[i][r]
+            else:
+                assert rank(given_as, m, streams[i][r]) == r
+            kept = enumeration._kept
+            assert list(kept)[-1] == (spec, m)
+            assert sum(cells for cells, _ in kept.values()) <= cap or len(kept) == 1
+            for key, (cells, tables) in kept.items():
+                assert tables == suffix_tables_reference(*key)
+                assert cells == sum(len(counts) for _, counts in tables)
