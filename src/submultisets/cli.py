@@ -66,8 +66,14 @@ def _digits(text: str) -> str:
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type: _digits, as an int."""
-    return int(_digits(text))
+    """argparse type: _digits, as an int. int() raises ValueError past the
+    interpreter's digit limit, and argparse would name this function."""
+    digits = _digits(text)
+    try:
+        return int(digits)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a non-negative decimal integer within the digit limit: {text!r}") from None
 
 
 def positive_int(text: str) -> int:

@@ -12,17 +12,16 @@ counting against per-suffix count tables (Nijenhuis & Wilf, Combinatorial
 Algorithms, 1978). Each table keeps only the sums its suffix can take that
 the positions to its left can still make up to n, so a table is cut from
 below as well as from above, and core's window fold folds it only up to its
-middle. rank and unrank share the tables of the instances they were
-called on most recently, up to _KEPT_CELLS cells in all, so an unrank
-followed by its rank, or draws interleaved over a few instances, build each
-instance's tables once. The least recently used are dropped first; the
-newest are kept even when they alone exceed the cap, until a call on
-another instance drops them.
+middle. rank and unrank share, under one lock, the tables of the instances
+called on most recently, up to _KEPT_CELLS cells in all: an unrank and its
+rank, or draws over a few instances, build each instance's tables once.
 """
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, product
+from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
 
 from .core import _is_int, _magnitude, _multiplicities, _window_fold
@@ -84,8 +83,11 @@ def _table_cells(a: tuple[int, ...], n: int) -> int:
 _KEPT_CELLS = 80_000
 
 #: Recent instances' suffix tables, {(a, n): (cells, tables)}, least
-#: recently used first. Nothing mutates the tables once built.
-_kept: dict[tuple[tuple[int, ...], int], tuple[int, list[tuple[int, list[int]]]]] = {}
+#: recently used first, and _held, their cells in all; _lock guards both.
+#: Nothing mutates the tables once built.
+_kept: OrderedDict[tuple[tuple[int, ...], int], tuple[int, list[tuple[int, list[int]]]]] = OrderedDict()
+_held = 0
+_lock = threading.Lock()
 
 
 def _tables_for(a: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
@@ -98,23 +100,21 @@ def _tables_for(a: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
     the build reuses the memory they held; an instance over the cap on its
     own is kept alone. The newest instance is always kept, however large.
 
-    No lock: every step on _kept is one dict operation, eviction walks a
-    snapshot of its keys and pops with a default, so threads that race on
-    it at worst build an instance twice, evict one early or, while their
-    builds overlap, keep more than the cap. _suffix_tables is looked up at
-    call time, so a replacement of the module global sees every build.
+    One lock covers the whole call, the pure-Python build too, which threads
+    could not run in parallel: nothing is built twice and the cap holds.
+    _suffix_tables is looked up at call time, so a replacement sees each build.
     """
+    global _held
     key = a, n
-    entry = _kept.pop(key, None)
-    if entry is None:
-        cells = _table_cells(a, n)
-        held = sum(c for c, _ in list(_kept.values()))
-        for old in list(_kept):  # least recently used first
-            if held + cells <= _KEPT_CELLS:
-                break
-            held -= _kept.pop(old, (0, None))[0]
-        entry = cells, _suffix_tables(a, n)
-    _kept[key] = entry
+    with _lock:
+        entry = _kept.pop(key, None)
+        if entry is None:
+            cells = _table_cells(a, n)
+            while _kept and _held + cells > _KEPT_CELLS:
+                _held -= _kept.popitem(last=False)[1][0]
+            entry = cells, _suffix_tables(a, n)
+            _held += cells
+        _kept[key] = entry
     return entry[1]
 
 
@@ -230,7 +230,7 @@ def rank(spec: Iterable[int], n: int, x: Sequence[int]) -> int:
     For each position, adds the number of completions below the chosen entry:
     sum over v < x_j of the count of suffixes with the leftover sum. Rejects
     x when it violates a bound or the sum. Reads the suffix tables it shares
-    with unrank, built once per run of calls on one instance.
+    with unrank, kept while the instance is a recent one.
     """
     a = _multiplicities(spec, n)
     x = _validated(a, n, x)
@@ -252,7 +252,7 @@ def unrank(spec: Iterable[int], n: int, r: int) -> Composition:
     """Composition of n at 0-based lexicographic position r; inverse of rank.
 
     Raises IndexError when r is not below the total count. Reads the suffix
-    tables it shares with rank, built once per run of calls on one instance.
+    tables it shares with rank, kept while the instance is a recent one.
     """
     a = _multiplicities(spec, n)
     if not _is_int(r) or r < 0:

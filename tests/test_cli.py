@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from collections import OrderedDict
 from math import comb
 from pathlib import Path
 from time import perf_counter
@@ -11,6 +12,9 @@ import pytest
 from submultisets import AgreementReport, CountMethod
 from submultisets import cli, enumeration
 from submultisets.cli import main
+
+#: The usage error for an integer past the interpreter's int <-> str limit.
+PAST_LIMIT = "not a non-negative decimal integer within the digit limit"
 
 
 def run(capsys, *argv):
@@ -95,8 +99,18 @@ class TestCountErrors:
          "argument -m/--multiplicities: not a non-negative decimal integer: 'x'"),
         (("count", "-m", "3,4", "-n", "1", "--budget", "0"),
          "argument --budget: not a positive integer: '0'"),
-    ], ids=["n", "start-rank", "multiplicities", "budget"])
-    def test_integer_errors_name_no_function(self, capsys, argv, message):
+        (("count", "-m", "1", "-n", "1" * 5000),
+         f"argument -n/--n: {PAST_LIMIT}: '{'1' * 5000}'"),
+        (("count", "-m", "1" * 5000, "-n", "1"),
+         f"argument -m/--multiplicities: {PAST_LIMIT}: '{'1' * 5000}'"),
+        (("enumerate", "-m", "3,4", "-n", "1", "--limit", "1" * 5000),
+         f"argument --limit: {PAST_LIMIT}: '{'1' * 5000}'"),
+    ], ids=["n", "start-rank", "multiplicities", "budget",
+            "n-past-limit", "multiplicities-past-limit", "limit-past-limit"])
+    def test_integer_errors_name_no_function(self, capsys, request, argv, message):
+        if PAST_LIMIT in message:
+            request.getfixturevalue("digit_limit")
+            message = f"{message[:100]}... ({len(message)} characters)"  # as _Parser cuts it
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == f"submultisets {argv[0]}: error: {message}"
@@ -355,7 +369,8 @@ class TestLongCounts:
     K = 2132
 
     def test_start_rank_of_any_size(self, capsys, monkeypatch, digit_limit):
-        monkeypatch.setattr(enumeration, "_kept", {})  # drop the tables after
+        monkeypatch.setattr(enumeration, "_kept", OrderedDict())  # drop the tables after
+        monkeypatch.setattr(enumeration, "_held", 0)
         total = comb(self.K, self.K // 2)
         argv = ["enumerate", "-m", ",".join(["1"] * self.K), "-n", str(self.K // 2),
                 "--limit", "1", "--start-rank"]

@@ -2,7 +2,9 @@
 import random
 import sys
 import threading
+from collections import OrderedDict
 from itertools import islice, product
+from time import perf_counter
 
 import pytest
 
@@ -284,14 +286,14 @@ class TestKeptTables:
         each with whether the cells kept at that point plus the new ones fit
         in the cap, or nothing was kept; the test's tables are dropped
         after it."""
-        monkeypatch.setattr(enumeration, "_kept", {})
+        monkeypatch.setattr(enumeration, "_kept", OrderedDict())
+        monkeypatch.setattr(enumeration, "_held", 0)
         build = enumeration._suffix_tables
         seen = []
 
         def spy(a, n):
-            kept = enumeration._kept
-            after = sum(cells for cells, _ in kept.values()) + enumeration._table_cells(a, n)
-            seen.append((a, n, not kept or after <= enumeration._KEPT_CELLS))
+            after = enumeration._held + enumeration._table_cells(a, n)
+            seen.append((a, n, not enumeration._kept or after <= enumeration._KEPT_CELLS))
             return build(a, n)
 
         monkeypatch.setattr(enumeration, "_suffix_tables", spy)
@@ -398,7 +400,8 @@ class TestKeptTables:
     @pytest.fixture
     def three(self, monkeypatch):
         """Three instances of 16 bounds, from an empty store."""
-        monkeypatch.setattr(enumeration, "_kept", {})
+        monkeypatch.setattr(enumeration, "_kept", OrderedDict())
+        monkeypatch.setattr(enumeration, "_held", 0)
         rng = random.Random(12)
         a = tuple(rng.randint(0, 4) for _ in range(16))
         return [(a, sum(a) // 2), (a, sum(a) // 3), (a[::-1], sum(a) // 2)]
@@ -410,13 +413,43 @@ class TestKeptTables:
 
     def test_threads_evicting_each_other(self, three, monkeypatch):
         # Each instance fits the cap alone and no two fit together, so
-        # nearly every draw evicts while other threads look up, pop and
-        # build: a walk over the live store would raise RuntimeError, an
-        # unguarded delete KeyError.
+        # nearly every draw evicts while other threads look up and build:
+        # without the lock, racing evictions would raise KeyError, and
+        # overlapping builds would keep more than the cap or leave the
+        # running total wrong.
         cells = [enumeration._table_cells(*instance) for instance in three]
         assert min(cells) * 2 > max(cells)
         monkeypatch.setattr(enumeration, "_KEPT_CELLS", max(cells))
         assert self.draw_in_threads(three) == []
+        kept = [cells for cells, _ in enumeration._kept.values()]
+        assert sum(kept) <= max(cells) or len(kept) == 1
+        assert sum(kept) == enumeration._held
+
+    def test_a_miss_does_not_scale_with_the_store(self, monkeypatch):
+        # Every call is a miss on a new instance. Under a cap of 0 one
+        # instance is kept; under the default, thousands, so a miss that
+        # walked the kept entries would take several times as long.
+        rng = random.Random(21)
+        instances = set()
+        while len(instances) < 6400:
+            a = tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 6)))
+            instances.add((a, sum(a) // 2))
+        instances = sorted(instances)
+
+        def misses(cap):
+            monkeypatch.setattr(enumeration, "_KEPT_CELLS", cap)
+            monkeypatch.setattr(enumeration, "_kept", OrderedDict())
+            monkeypatch.setattr(enumeration, "_held", 0)
+            started = perf_counter()
+            for a, n in instances:
+                unrank(a, n, 0)
+            return perf_counter() - started, len(enumeration._kept)
+
+        default = enumeration._KEPT_CELLS
+        timings = [misses(cap) for cap in (default, 0, default, 0)]
+        assert timings[0][1] > 500 and timings[1][1] == 1
+        ratio = min(timings[0][0], timings[2][0]) / min(timings[1][0], timings[3][0])
+        assert ratio < 3, ratio
 
 
 class TestBijection:

@@ -5,6 +5,7 @@ against the other, the shape of the count table, the enumeration stream at
 wide dimension, the rank tables against a full-window reference, and
 rank/unrank against that stream, also when calls on a few instances
 interleave."""
+from collections import OrderedDict
 from contextlib import contextmanager
 from itertools import islice
 from math import prod
@@ -269,14 +270,16 @@ def test_interleaved_rank_unrank_match_the_stream(a, b, data):
     # cells: calls in random order over one spec at two n, two specs at one
     # n, and each spec passed as a tuple, a list or a MultisetSpec must read
     # only their own instance's. A cap drawn from 1 to all three instances'
-    # cells makes them evict each other, down to one kept over the cap.
+    # cells makes them evict each other, down to one kept over the cap, and
+    # the running total of kept cells stays exact after every call.
     n = data.draw(st.integers(0, min(sum(a), sum(b))))
     instances = [(a, n), (a, data.draw(st.integers(0, sum(a)))), (b, n)]
     streams = [list(iterate(spec, m)) for spec, m in instances]
     cap = data.draw(st.integers(1, sum(enumeration._table_cells(*i) for i in instances)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_KEPT_CELLS", cap)
-        mp.setattr(enumeration, "_kept", {})
+        mp.setattr(enumeration, "_kept", OrderedDict())
+        mp.setattr(enumeration, "_held", 0)
         for _ in range(data.draw(st.integers(1, 12))):
             i = data.draw(st.integers(0, 2))
             spec, m = instances[i]
@@ -288,7 +291,9 @@ def test_interleaved_rank_unrank_match_the_stream(a, b, data):
                 assert rank(given_as, m, streams[i][r]) == r
             kept = enumeration._kept
             assert list(kept)[-1] == (spec, m)
-            assert sum(cells for cells, _ in kept.values()) <= cap or len(kept) == 1
+            held = sum(cells for cells, _ in kept.values())
+            assert held == enumeration._held
+            assert held <= cap or len(kept) == 1
             for key, (cells, tables) in kept.items():
                 assert tables == suffix_tables_reference(*key)
                 assert cells == sum(len(counts) for _, counts in tables)
