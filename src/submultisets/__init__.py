@@ -9,21 +9,21 @@ streams the compositions in lexicographic order, and ranks/unranks them.
 """
 from .core import (
     CountMethod,
+    CountTable,
     MultisetSpec,
+    count_dp,
     count_upper_constrained,
     count_wrong_formula,  # not public: a negative control for perfbench's self-test
+    full_table,
 )
 from .enumeration import iterate, rank, unrank
 from .oracles import (
     DEFAULT_BUDGET_ITEMS,
     AgreementReport,
     BudgetExceededError,
-    CountTable,
     count,
     count_brute_force,
-    count_dp,
     cross_check,
-    full_table,
 )
 
 __version__ = "0.1.0"

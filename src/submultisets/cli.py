@@ -11,9 +11,9 @@ force may visit; count and check hand it to the library as a plain int.
 Results go to stdout, diagnostics to stderr (check notes each skipped method
 and why there). Exit codes: 0 success, 1 stdout closed by its reader
 (say, `| head`; nothing goes to stderr), 2 malformed input, 3 brute force
-over its budget, 4 cross-check disagreement. Counts print in full; in JSON
-output they are decimal strings, since they routinely exceed the integer
-range of downstream consumers.
+over its budget or a failed allocation, 4 cross-check disagreement. Counts
+print in full; in JSON output they are decimal strings, since they
+routinely exceed the integer range of downstream consumers.
 
 Every integer is parsed under the interpreter's int -> str digit limit
 except --start-rank, which is checked the same way but kept as text, since
@@ -32,9 +32,9 @@ import sys
 from collections.abc import Callable, Sequence
 from itertools import islice
 
-from .core import CountMethod
+from .core import CountMethod, full_table
 from .enumeration import iterate, unrank
-from .oracles import DEFAULT_BUDGET_ITEMS, BudgetExceededError, count, cross_check, full_table
+from .oracles import DEFAULT_BUDGET_ITEMS, BudgetExceededError, count, cross_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,6 +204,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: not enough memory for this instance", file=sys.stderr)
         return 3
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

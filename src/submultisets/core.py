@@ -1,22 +1,23 @@
-"""Closed-form counting of bounded compositions.
+"""Exact counting of bounded compositions: the closed form, the DP and the table.
 
 A multiset with element multiplicities (a_1, ..., a_k) has one sub-multiset of
 cardinality n for every integer vector (x_1, ..., x_k) with
 
     x_1 + ... + x_k = n   and   0 <= x_j <= a_j .
 
-This module counts those vectors exactly, in arbitrary precision, by
-inclusion-exclusion over the set of violated upper bounds, summed by the
-weight of each set so that the cost is polynomial in k and n. It also holds
-what the rest of the package shares: the input gate _multiplicities, which
-every entry point calls first, and MultisetSpec, a tuple that has passed it;
-_normalized, which reduces an instance to one with the same count and
-n <= N/2; _window_fold, the one fold of the product of the factors
-1 + x + ... + x^m that the dynamic program, the full table and the rank
-tables build on; _by_recurrence, the same product's coefficients by a
-linear recurrence, with the one cost gate that picks it over the fold; and
-_magnitude, which writes a caller's int of any size into a message as one
-short line. Everything here is a pure function of its arguments.
+count_upper_constrained counts those vectors exactly, in arbitrary precision,
+by inclusion-exclusion over the set of violated upper bounds, summed by the
+weight of each set so that the cost is polynomial in k and n. count_dp takes
+the count as the coefficient of x^n in the product of the factors
+1 + x + ... + x^m, and full_table takes every coefficient. Both share with
+the closed form only _normalized, which reduces an instance to one with the
+same count and n <= N/2. The product comes from _window_fold, the one fold
+the rank tables build on too, or from _by_recurrence, a linear recurrence,
+as the one cost gate _recurrence_pays picks. The input gate _multiplicities,
+which every entry point calls first, MultisetSpec, a tuple that has passed
+it, and _magnitude, which writes a caller's int of any size into a message
+as one short line, are here too. Everything here is a pure function of its
+arguments.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import enum
 from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from math import comb, log10
-from operator import sub
+from operator import mul, sub
 
 
 def _magnitude(value: object) -> str:
@@ -168,10 +169,14 @@ def _multiply_bounded(coeffs: list[int], bound: int, limit: int, drop: int) -> l
     size = len(coeffs) + bound
     size = size if size <= limit else limit + 1  # no call to min: a step per factor
     prefix = list(accumulate(coeffs))
-    prefix += [prefix[-1]] * (size - len(prefix))
     shift = bound + 1
-    if shift >= size:
-        return prefix[drop:]
+    # With shift >= size every window starts at degree 0: the result is the
+    # prefix sums, so only the degrees kept are padded.
+    if drop and shift >= size:
+        return prefix[drop:] + [prefix[-1]] * (size - max(drop, len(prefix)))
+    prefix += [prefix[-1]] * (size - len(prefix))
+    if shift >= size:  # drop is 0: the padded sums themselves, no copy
+        return prefix
     return prefix[drop:shift] + list(map(sub, prefix[shift:], prefix))
 
 
@@ -296,6 +301,85 @@ def _recurrence_pays(bounds: Sequence[int], folds: int) -> bool:
     one comparison here.
     """
     return folds >= 24 and 12 << len(set(bounds)) <= folds
+
+
+class CountTable(tuple):
+    """Per-cardinality sub-multiset counts, indexed by n (0..N)."""
+
+    __slots__ = ()
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """The counts as a plain tuple."""
+        return tuple(self)
+
+
+def count_dp(spec: Iterable[int], n: int) -> int:
+    """Count sub-multisets of cardinality n as a generating-function
+    coefficient.
+
+    Normalizes the instance first (n complemented to at most N/2, bounds
+    clamped to n, zero bounds dropped). A bound that occurs twice gives a
+    squared factor, so the bounds split into two equal halves C and C and
+    the odd ones out R, and the product P of the factors
+    (1 + x + ... + x^{a_j}) is Q^2 R, with Q the product over C. Q is folded
+    in ascending order up to degree min(n, sum(C)), with no lower cut:
+    since n <= N/2, every degree of Q can still reach n. The factors of R
+    are folded onto Q, each product kept to the degrees that can still
+    reach n once the rest of R and the second Q are multiplied in, and
+    each product of both folds computed only up to its middle. That gives
+    F = QR, and the coefficient of x^n in P is the dot product of F[s] with
+    Q[n - s]. Polynomial cost, arbitrary dimension; a spec of equal bounds
+    folds only half of them.
+
+    When those folds outnumber what the recurrence of _by_recurrence costs,
+    which depends on the distinct bounds only (_recurrence_pays), p_n is
+    taken from that recurrence instead: (50,) * 200 at n = 5000 is 5000
+    steps of three terms, not 100 folds. Both give the same count.
+    """
+    instance = _normalized(_multiplicities(spec, n), n)
+    if instance is None:
+        return 0
+    a, n = instance
+    # Equal bounds sit side by side once sorted: each second one of a run
+    # pairs with the one before it.
+    pairs: list[int] = []
+    odd: list[int] = []
+    for m in sorted(a):
+        if odd and odd[-1] == m:
+            pairs.append(odd.pop())
+        else:
+            odd.append(m)
+    if _recurrence_pays(a, len(pairs) + len(odd)):
+        return _by_recurrence(a, n)[n]
+    q = _window_fold(pairs, n, reach=n)  # R's fold starts from it, Q's full degree too
+    top = len(q[1]) - 1
+    # F = QR starts at degree n - top or 0, so F[i] meets Q at degree top - i.
+    return sum(map(mul, _window_fold(odd, n, start=q, reach=top)[1], reversed(q[1])))
+
+
+def full_table(spec: Iterable[int]) -> CountTable:
+    """Counts for every cardinality 0..N in a single polynomial product.
+
+    The table is a palindrome (x_j -> a_j - x_j maps cardinality n to N - n),
+    so the product is taken to degree N // 2 and the degrees above mirror it.
+    Every degree up to N // 2 is an entry, so the instance is (spec, N // 2),
+    normalized as count_dp's is. Where the cost gate of count_dp says the
+    recurrence is cheaper than folding every bound, as for (50,) * 200, the
+    product comes from _by_recurrence. Otherwise the factors are folded in
+    ascending order of their bounds, each product only up to its middle and
+    with no cut from below: the product is commutative, and that order gives
+    every partial product the lowest degree any order can, so the fewest
+    cells and the smallest integers.
+    """
+    a = _multiplicities(spec, 0)
+    total = sum(a)
+    a, n = _normalized(a, total // 2)
+    if _recurrence_pays(a, len(a)):
+        half = _by_recurrence(a, n)
+    else:
+        half = _window_fold(sorted(a), n, reach=n)[1]
+    return CountTable(half + half[:total + 1 - len(half)][::-1])
 
 
 def count_wrong_formula(spec: Iterable[int], n: int) -> int:

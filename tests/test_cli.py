@@ -452,6 +452,39 @@ class TestSubprocessEntry:
         assert added.isdisjoint({"dataclasses", "inspect", "typing", "json", "ast", "dis"}), added
 
 
+#: Commands whose kernels would allocate gigabytes, each answered or refused.
+HUGE_INSTANCES = {
+    "count": ["count", "-m", "1000000000,1000000000", "-n", "1000000000"],
+    "table": ["table", "-m", "100000000,100000000"],
+    "unrank": ["enumerate", "-m", "1000000000,1000000000", "-n", "1000000000",
+               "--start-rank", "5", "--limit", "1"],
+    "check": ["check", "-m", "1000000000,1000000000", "-n", "1000000000"],
+    "wide-unrank": ["enumerate", "-m", ",".join(["1"] * 15000), "-n", "7500",
+                    "--start-rank", "1" + "0" * 4400, "--limit", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(HUGE_INSTANCES.values()), ids=list(HUGE_INSTANCES))
+def test_out_of_memory_is_a_refusal(argv):
+    """Under a 600 MB address-space limit, set by the child itself before it
+    imports the package, an instance too big for memory exits 0 or 3 with
+    at most one short line on stderr, never a traceback."""
+    pytest.importorskip("resource")
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, hard))\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from submultisets.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode in (0, 3), proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) <= 1 and all(len(line) <= 100 for line in lines), lines
+
+
 class TestGeneralContract:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run(capsys, )[0] == 2

@@ -18,7 +18,6 @@ from submultisets import (
     enumeration,
     full_table,
     iterate,
-    oracles,
     rank,
     unrank,
 )
@@ -135,7 +134,7 @@ class TestInputGate:
     def test_kernels_get_exact_tuples(self, monkeypatch):
         seen = {}
         for module, name in [(enumeration, "_successors"), (enumeration, "_suffix_tables"),
-                             (core, "_normalized"), (oracles, "_normalized")]:
+                             (core, "_normalized")]:
             def spy(a, *args, _inner=getattr(module, name), _name=name, **kwargs):
                 seen.setdefault(_name, set()).add(type(a))
                 return _inner(a, *args, **kwargs)

@@ -2,6 +2,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 from collections import OrderedDict
 from itertools import islice, product
 from time import perf_counter
@@ -273,6 +274,20 @@ class TestSuffixTables:
         assert returned
         assert sum(returned) <= window / 2 + len(a)
         assert tables == suffix_tables_reference(a, n)
+
+    def test_a_fold_cut_from_below_allocates_only_what_it_keeps(self, monkeypatch):
+        # One bound of 10^6 at n = 5 * 10^5: the table keeps one sum, and
+        # its fold, cut below n, must not pad the degrees it drops (a list
+        # of 5 * 10^5 ints, about 4 MB, if it did).
+        monkeypatch.setattr(enumeration, "_kept", OrderedDict())
+        monkeypatch.setattr(enumeration, "_held", 0)
+        tracemalloc.start()
+        try:
+            assert unrank((10**6,), 5 * 10**5, 0) == (5 * 10**5,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
 
 
 class TestKeptTables:

@@ -31,7 +31,7 @@ def dumb_count(a, n):
 
 
 def fold_cells(monkeypatch, entry, *args):
-    """Run entry(*args) with each core._window_fold that oracles calls
+    """Run entry(*args) with each core._window_fold that it calls
     recording its products. Returns the result, the length of each fold's
     bounds, the cells core._multiply_bounded returned, and the cells of the
     products' windows, which a fold with no mirror would all return."""
@@ -50,7 +50,7 @@ def fold_cells(monkeypatch, entry, *args):
         returned.append(len(out))
         return out
 
-    monkeypatch.setattr(oracles, "_window_fold", recorded_fold)
+    monkeypatch.setattr(core, "_window_fold", recorded_fold)
     monkeypatch.setattr(core, "_multiply_bounded", counted)
     result = entry(*args)
     return result, folds, sum(returned), sum(windows)
@@ -198,7 +198,7 @@ class TestDp:
             calls.append(n)
             return _by_recurrence(bounds, n)
 
-        monkeypatch.setattr(oracles, "_by_recurrence", spy)
+        monkeypatch.setattr(core, "_by_recurrence", spy)
         assert count_dp(WIDE, 5000) == count_upper_constrained(WIDE, 5000)
         assert full_table(WIDE)[5000] == count_upper_constrained(WIDE, 5000)
         assert calls == [5000, 5000]

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from submultisets import (
     MultisetSpec,
+    core,
     count_brute_force,
     count_dp,
     count_upper_constrained,
     full_table,
     iterate,
     enumeration,
-    oracles,
     rank,
     unrank,
 )
@@ -124,7 +124,7 @@ def gate_forced(on):
     """count_dp and full_table take the recurrence (on) or the window folds
     (off) for every spec, whatever the cost gate says."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles, "_recurrence_pays", lambda bounds, folds: on)
+        mp.setattr(core, "_recurrence_pays", lambda bounds, folds: on)
         yield
 
 

@@ -13,3 +13,31 @@ def test_sources_parse_as_python_3_10():
     assert len(paths) > 10
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def package_imports(module):
+    """{sibling module: the names imported from it} for one module of the
+    package, read from its source. The package imports itself only by
+    relative imports; an absolute one would escape the map, so it fails."""
+    tree = ast.parse((ROOT / "src" / "submultisets" / f"{module}.py").read_text(encoding="utf-8"))
+    imports = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imports.setdefault(node.module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("submultisets"), (module, node.module)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("submultisets") for alias in node.names), module
+    return imports
+
+
+def test_modules_are_layered():
+    # core computes every count and kernel, enumeration streams on its
+    # fold, and oracles only checks and picks methods: it takes from core
+    # the public counters and the input gate, none of the kernels.
+    assert package_imports("core") == {}
+    assert set(package_imports("enumeration")) == {"core"}
+    oracles = package_imports("oracles")
+    assert set(oracles) == {"core", "enumeration"}
+    kernels = {"_window_fold", "_multiply_bounded", "_by_recurrence", "_recurrence_pays", "_normalized"}
+    assert oracles["core"].isdisjoint(kernels), oracles["core"] & kernels
