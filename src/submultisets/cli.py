@@ -11,15 +11,15 @@ force may visit; count and check hand it to the library as a plain int.
 Results go to stdout, diagnostics to stderr (check notes each skipped method
 and why there). Exit codes: 0 success, 1 stdout closed by its reader
 (say, `| head`; nothing goes to stderr), 2 malformed input, 3 brute force
-over its budget or a failed allocation, 4 cross-check disagreement. Counts
-print in full; in JSON output they are decimal strings, since they
-routinely exceed the integer range of downstream consumers.
+over its budget or an instance too large to allocate, 4 cross-check
+disagreement. Counts print in full; in JSON output they are decimal
+strings, since they routinely exceed the integer range of downstream
+consumers.
 
-Every integer is parsed under the interpreter's int -> str digit limit
-except --start-rank, which is checked the same way but kept as text, since
-its range is the count's. main lifts the limit in one block around the
-command, where the rank becomes an int and counts print, and puts it back
-after. A usage error shows at most 100 characters of its message.
+main lifts the interpreter's int <-> str digit limit in one block around
+parsing and the command, so every integer and count takes any number of
+digits, and puts the caller's limit back after. A usage error shows at most
+100 characters of its message.
 enumerate and table write their rows from one format string per call,
 streamed, one row per item. json is imported only by the branches that
 print it, since most processes print text.
@@ -54,26 +54,14 @@ def multiplicity_list(text: str) -> tuple[int, ...]:
     return tuple([nonnegative_int(part) for part in text.split(",")])
 
 
-def _digits(text: str) -> str:
-    """argparse type for --start-rank: ASCII decimal digits only. No sign,
+def nonnegative_int(text: str) -> int:
+    """argparse type: ASCII decimal digits only, as an int. No sign,
     underscore, whitespace or non-ASCII digit, all of which int() would
-    accept. The text is returned unconverted. ArgumentTypeError puts the
-    message in the usage error, where a ValueError would name this
-    function."""
+    accept. ArgumentTypeError puts the message in the usage error, where a
+    ValueError would name this function."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"not a non-negative decimal integer: {text!r}")
-    return text
-
-
-def nonnegative_int(text: str) -> int:
-    """argparse type: _digits, as an int. int() raises ValueError past the
-    interpreter's digit limit, and argparse would name this function."""
-    digits = _digits(text)
-    try:
-        return int(digits)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a non-negative decimal integer within the digit limit: {text!r}") from None
+    return int(text)
 
 
 def positive_int(text: str) -> int:
@@ -119,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = command("enumerate", _run_enumerate, "list the compositions in lexicographic order")
     p_enum.add_argument("--limit", type=nonnegative_int, default=None,
                         help="print at most this many compositions")
-    p_enum.add_argument("--start-rank", type=_digits, default="0",
+    p_enum.add_argument("--start-rank", type=nonnegative_int, default=0,
                         help="skip to this 0-based rank before printing")
     p_check = command("check", _run_check, "run all applicable methods and compare")
     for p in (p_count, p_check):
@@ -149,14 +137,14 @@ def _run_table(args: argparse.Namespace) -> int:
 
 
 def _run_enumerate(args: argparse.Namespace) -> int:
-    spec, n, start_rank = args.multiplicities, args.n, int(args.start_rank)
+    spec, n, start_rank = args.multiplicities, args.n, args.start_rank
     try:
         start = unrank(spec, n, start_rank) if start_rank else None
         stream = iterate(spec, n, start=start)
     except IndexError:  # past the end of the stream: nothing to print
         stream = iter(())
     if args.limit is not None:
-        stream = islice(stream, args.limit)
+        stream = islice(stream, min(args.limit, sys.maxsize))
     if args.format == "json":
         # Streamed array, byte-identical to json.dumps of the list of lists.
         # Each row carries its separator; the first row's is cut off.
@@ -188,27 +176,26 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on bad input, 0 on --help
-        return exc.code if isinstance(exc.code, int) else 2
-    # Ranks and counts of any size: lift the int <-> str digit limit
-    # (3.10.7+, 3.11+) for the command, and put the old value back after.
+    # Integers, ranks and counts of any size: lift the int <-> str digit
+    # limit (3.10.7+, 3.11+) for parsing and the command, and put the
+    # caller's value back after.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         code = args.run(args)
         sys.stdout.flush()  # so a closed stdout shows here, not at exit
         return code
+    except SystemExit as exc:  # argparse exits 2 on bad input, 0 on --help
+        return exc.code if isinstance(exc.code, int) else 2
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:
+    except (MemoryError, OverflowError):  # a list longer than sys.maxsize overflows
         print("error: not enough memory for this instance", file=sys.stderr)
         return 3
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
