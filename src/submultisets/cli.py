@@ -6,8 +6,9 @@
     submultisets check     -m 5,9,14 -n 12 [--budget B]
 
 Every subcommand also takes --format text|json|csv (default text).
---budget B, a positive integer (default 10^7), caps the compositions brute
-force may visit; count and check hand it to the library as a plain int.
+--budget B (default 10^7) caps the compositions brute force may visit;
+count and check hand it to the library as a plain int, which refuses one
+below 1 as malformed input.
 Results go to stdout, diagnostics to stderr (check notes each skipped method
 and why there). Exit codes: 0 success, 1 stdout closed by its reader
 (say, `| head`; nothing goes to stderr), 2 malformed input, 3 brute force
@@ -64,14 +65,7 @@ def nonnegative_int(text: str) -> int:
     return int(text)
 
 
-def positive_int(text: str) -> int:
-    value = nonnegative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
-
-
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="submultisets",
         description="Count and enumerate the sub-multisets of a given cardinality "
@@ -111,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip to this 0-based rank before printing")
     p_check = command("check", _run_check, "run all applicable methods and compare")
     for p in (p_count, p_check):
-        p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET_ITEMS,
+        p.add_argument("--budget", type=nonnegative_int, default=DEFAULT_BUDGET_ITEMS,
                        help="max compositions the brute method may visit")
     return parser
 
@@ -183,7 +177,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _build_parser().parse_args(argv)
         code = args.run(args)
         sys.stdout.flush()  # so a closed stdout shows here, not at exit
         return code

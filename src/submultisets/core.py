@@ -11,13 +11,15 @@ weight of each set so that the cost is polynomial in k and n. count_dp takes
 the count as the coefficient of x^n in the product of the factors
 1 + x + ... + x^m, and full_table takes every coefficient. Both share with
 the closed form only _normalized, which reduces an instance to one with the
-same count and n <= N/2. The product comes from _window_fold, the one fold
-the rank tables build on too, or from _by_recurrence, a linear recurrence,
-as the one cost gate _recurrence_pays picks. The input gate _multiplicities,
-which every entry point calls first, MultisetSpec, a tuple that has passed
-it, and _magnitude, which writes a caller's int of any size into a message
-as one short line, are here too. Everything here is a pure function of its
-arguments.
+same count and n <= N/2. The product comes from _window_fold, the one fold,
+or from _by_recurrence, a linear recurrence, as the one cost gate
+_recurrence_pays picks. The rank tables enumeration walks are the products
+_window_fold records: _suffix_tables builds them, and _table_cells counts
+their cells from the same window without building them. The input gate
+_multiplicities, which every entry point calls first, MultisetSpec, a tuple
+that has passed it, and _magnitude, which writes a caller's int of any size
+into a message as one short line, are here too. Everything here is a pure
+function of its arguments.
 """
 from __future__ import annotations
 
@@ -229,6 +231,36 @@ def _window_fold(
         if products is not None:
             products.append((low, coeffs))
     return low, coeffs, total
+
+
+def _suffix_tables(a: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
+    """tables[j] = (low, counts): counts[s - low] is the number of ways to
+    finish positions j.. with sum s, the products _window_fold records
+    over the reversed spec.
+
+    A table covers the sums from low = max(0, n - (a_1 + ... + a_{j-1})) to
+    top = min(n, S_j), where S_j = a_j + ... + a_k. Above that the suffix
+    cannot reach s, and below it the positions to the left cannot make up
+    the rest of n, so rank and unrank never read there. Needs n <= N.
+    """
+    tables = [(0, [1])]
+    _window_fold(a[::-1], n, products=tables)
+    tables.reverse()
+    return tables
+
+
+def _table_cells(a: tuple[int, ...], n: int) -> int:
+    """len summed over the tables of _suffix_tables(a, n), in O(k) and
+    without building them: table j holds the sums from max(0, n - P_j) up
+    to min(n, S_j), where P_j = a_1 + ... + a_{j-1} and S_j = a_j + ... + a_k,
+    and the empty suffix's table holds one. Needs n <= N.
+    """
+    cells, before, after = 1, 0, sum(a)
+    for m in a:
+        cells += min(n, after) - max(0, n - before) + 1
+        before += m
+        after -= m
+    return cells
 
 
 def _by_recurrence(bounds: Sequence[int], n: int) -> list[int]:

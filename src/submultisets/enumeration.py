@@ -9,12 +9,13 @@ positions are listed once per sum and joined to the rest in C, so most items
 cost no Python step at all. rank and unrank convert between a composition
 and its 0-based position in that order without enumerating, by prefix
 counting against per-suffix count tables (Nijenhuis & Wilf, Combinatorial
-Algorithms, 1978). Each table keeps only the sums its suffix can take that
-the positions to its left can still make up to n, so a table is cut from
-below as well as from above, and core's window fold folds it only up to its
-middle. rank and unrank share, under one lock, the tables of the instances
-called on most recently, up to _KEPT_CELLS cells in all: an unrank and its
-rank, or draws over a few instances, build each instance's tables once.
+Algorithms, 1978), which they walk as core builds them: each table keeps
+only the sums its suffix can take that the positions to its left can still
+make up to n, so a table is cut from below as well as from above, and core
+counts its cells without building it. rank and unrank share, under one lock,
+the tables of the instances called on most recently, up to _KEPT_CELLS cells
+in all: an unrank and its rank, or draws over a few instances, build each
+instance's tables once.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from itertools import accumulate, chain, product
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
 
-from .core import _is_int, _magnitude, _multiplicities, _window_fold
+from .core import _is_int, _magnitude, _multiplicities, _suffix_tables, _table_cells
 
 Composition = tuple[int, ...]
 
@@ -41,36 +42,6 @@ Composition = tuple[int, ...]
 #: the time of the loop alone at k = 60 and 0.3-0.8x at k = 8 and 15.
 BLOCKS_MAX_K = 32
 TAIL_COMBINATIONS = 128
-
-
-def _suffix_tables(a: tuple[int, ...], n: int) -> list[tuple[int, list[int]]]:
-    """tables[j] = (low, counts): counts[s - low] is the number of ways to
-    finish positions j.. with sum s, the products core._window_fold records
-    over the reversed spec.
-
-    A table covers the sums from low = max(0, n - (a_1 + ... + a_{j-1})) to
-    top = min(n, S_j), where S_j = a_j + ... + a_k. Above that the suffix
-    cannot reach s, and below it the positions to the left cannot make up
-    the rest of n, so rank and unrank never read there. Needs n <= N.
-    """
-    tables = [(0, [1])]
-    _window_fold(a[::-1], n, products=tables)
-    tables.reverse()
-    return tables
-
-
-def _table_cells(a: tuple[int, ...], n: int) -> int:
-    """len summed over the tables of _suffix_tables(a, n), in O(k) and
-    without building them: table j holds the sums from max(0, n - P_j) up
-    to min(n, S_j), where P_j = a_1 + ... + a_{j-1} and S_j = a_j + ... + a_k,
-    and the empty suffix's table holds one. Needs n <= N.
-    """
-    cells, before, after = 1, 0, sum(a)
-    for m in a:
-        cells += min(n, after) - max(0, n - before) + 1
-        before += m
-        after -= m
-    return cells
 
 
 #: The most table cells _kept holds together, about 2.9 MB at the 36 bytes

@@ -1,4 +1,5 @@
 """CLI contract: stdout bytes, exit codes, output formats."""
+import argparse
 import json
 import subprocess
 import sys
@@ -94,13 +95,31 @@ class TestCountErrors:
          "argument --start-rank: not a non-negative decimal integer: '-1'"),
         (("count", "-m", "3,x", "-n", "1"),
          "argument -m/--multiplicities: not a non-negative decimal integer: 'x'"),
-        (("count", "-m", "3,4", "-n", "1", "--budget", "0"),
-         "argument --budget: not a positive integer: '0'"),
+        (("count", "-m", "3,4", "-n", "1", "--budget", "+5"),
+         "argument --budget: not a non-negative decimal integer: '+5'"),
     ], ids=["n", "start-rank", "multiplicities", "budget"])
     def test_integer_errors_name_no_function(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == f"submultisets {argv[0]}: error: {message}"
+
+    def test_every_integer_flag_parses_one_way(self):
+        # The only typed flags are the integer ones, and each parses through
+        # nonnegative_int; what an integer may not be beyond that (a budget
+        # below 1) the library refuses.
+        integer, integers = cli.nonnegative_int, cli.multiplicity_list
+        expected = {
+            "count": {"-m": integers, "-n": integer, "--budget": integer},
+            "table": {"-m": integers},
+            "enumerate": {"-m": integers, "-n": integer, "--limit": integer, "--start-rank": integer},
+            "check": {"-m": integers, "-n": integer, "--budget": integer},
+        }
+        [commands] = [action.choices for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        typed = {name: {action.option_strings[0]: action.type
+                        for action in parser._actions if action.type is not None}
+                 for name, parser in commands.items()}
+        assert typed == expected
 
     def test_incexc_capacity_exit(self, capsys):
         # inclusion-exclusion serves any dimension
@@ -121,9 +140,8 @@ class TestCountErrors:
 
     @pytest.mark.parametrize("command", ["count", "check"])
     def test_zero_budget_is_malformed(self, capsys, command):
-        code, out, err = run(capsys, command, "-m", "5,5", "-n", "5", "--budget", "0")
-        assert (code, out) == (2, "")
-        assert "--budget" in err
+        assert run(capsys, command, "-m", "5,5", "-n", "5", "--budget", "0") == \
+            (2, "", "error: budget must be a positive integer, got 0\n")
 
 
 class TestTable:
@@ -373,7 +391,7 @@ class TestLongCounts:
 
     @pytest.mark.parametrize("argv", [
         ("count", "-m", "1", "-n", "1" * 5000 + "x"),
-        ("count", "-m", "1", "-n", "1", "--budget", "0" * 5000),
+        ("count", "-m", "1", "-n", "1", "--budget", "0" * 5000 + "x"),
         ("count", "-m", "1," * 2000 + "2" * 5000 + "x", "-n", "1"),
         ("count", "-m", "1", "-n", "1", "--method", "x" * 5000),
         ("count", "-m", "1", "-n", "1", "7" * 5000),

@@ -32,12 +32,16 @@ def package_imports(module):
 
 
 def test_modules_are_layered():
-    # core computes every count and kernel, enumeration streams on its
-    # fold, and oracles only checks and picks methods: it takes from core
-    # the public counters and the input gate, none of the kernels.
+    # core computes every count and kernel and builds the rank tables,
+    # enumeration walks those tables, and oracles only checks and picks
+    # methods. Neither takes any of core's kernels: enumeration takes the
+    # tables and their cell count, oracles the public counters, and both
+    # the input gate.
     assert package_imports("core") == {}
-    assert set(package_imports("enumeration")) == {"core"}
+    enumeration = package_imports("enumeration")
+    assert set(enumeration) == {"core"}
     oracles = package_imports("oracles")
     assert set(oracles) == {"core", "enumeration"}
     kernels = {"_window_fold", "_multiply_bounded", "_by_recurrence", "_recurrence_pays", "_normalized"}
-    assert oracles["core"].isdisjoint(kernels), oracles["core"] & kernels
+    for module, names in [("enumeration", enumeration["core"]), ("oracles", oracles["core"])]:
+        assert names.isdisjoint(kernels), (module, names & kernels)
