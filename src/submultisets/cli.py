@@ -23,7 +23,9 @@ digits, and puts the caller's limit back after. A usage error shows at most
 100 characters of its message.
 enumerate and table write their rows from one format string per call,
 streamed, one row per item. json is imported only by the branches that
-print it, since most processes print text.
+print it, since most processes print text; enumeration only by the
+enumerate command and brute force, so table, count by dp or incexc and a
+malformed call never load it.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ from collections.abc import Callable, Sequence
 from itertools import islice
 
 from .core import CountMethod, full_table
-from .enumeration import iterate, unrank
 from .oracles import DEFAULT_BUDGET_ITEMS, BudgetExceededError, count, cross_check
 
 
@@ -131,6 +132,7 @@ def _run_table(args: argparse.Namespace) -> int:
 
 
 def _run_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration import iterate, unrank
     spec, n, start_rank = args.multiplicities, args.n, args.start_rank
     try:
         start = unrank(spec, n, start_rank) if start_rank else None

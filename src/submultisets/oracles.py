@@ -21,7 +21,6 @@ from .core import (
     count_dp,
     count_upper_constrained,
 )
-from .enumeration import iterate
 
 #: Default cap on the compositions the brute-force oracle may visit.
 DEFAULT_BUDGET_ITEMS = 10_000_000
@@ -54,6 +53,7 @@ def count_brute_force(spec: Iterable[int], n: int, budget: int = DEFAULT_BUDGET_
             f"instance has an estimated {_magnitude(estimate)} compositions, "
             f"over the budget of {_magnitude(budget)}"
         )
+    from .enumeration import iterate  # here, so a count by dp or incexc never loads it
     return sum(1 for _ in iterate(a, n))
 
 

@@ -441,21 +441,35 @@ class TestSubprocessEntry:
         proc.stderr.close()
         assert (proc.wait(timeout=60), stderr) == (1, "")
 
-    def test_import_adds_no_heavy_modules(self):
-        """Importing the CLI pulls in none of the modules it has no use for in
-        most processes. Compared with the same child's start-up modules; the
-        child skips site (-S), which may load some of them (typing, for one),
-        and the environment (-E), and finds the package in src."""
+    @pytest.mark.parametrize("code, loaded", [
+        ("import submultisets; submultisets.count_dp((2, 3, 3), 5)", {"core"}),
+        ("from submultisets import iterate, rank, unrank", {"core", "enumeration"}),
+        ("from submultisets.cli import main; main(['count', '-m', '2,3,3', '-n', '5'])",
+         {"core", "oracles", "cli"}),
+        ("from submultisets import *\n"
+         "import submultisets\n"
+         "assert all(name in globals() for name in submultisets.__all__)\n"
+         "assert set(submultisets.__all__) <= set(dir(submultisets))",
+         {"core", "enumeration", "oracles"}),
+    ], ids=["count_dp", "enumeration", "cli-count", "star"])
+    def test_import_adds_no_heavy_modules(self, code, loaded):
+        """Each entry point loads only the package modules it uses, and none
+        of the heavy modules it has no use for in most processes. Compared
+        with the same child's start-up modules; the child skips site (-S),
+        which may load some of them (typing, for one), and the environment
+        (-E), and finds the package in src."""
         src = Path(__file__).resolve().parent.parent / "src"
         code = ("import sys\n"
                 f"sys.path.insert(0, {str(src)!r})\n"
                 "before = set(sys.modules)\n"
-                "import submultisets.cli\n"
+                f"{code}\n"
                 "print(' '.join(sorted(set(sys.modules) - before)))\n")
         proc = subprocess.run([sys.executable, "-E", "-S", "-c", code], capture_output=True,
-                              text=True, check=True)
-        added = set(proc.stdout.split())
-        assert "submultisets.cli" in added
+                              text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        added = set(proc.stdout.splitlines()[-1].split())
+        package = {name for name in added if name.split(".")[0] == "submultisets"}
+        assert package == {"submultisets"} | {f"submultisets.{m}" for m in loaded}
         assert added.isdisjoint({"dataclasses", "inspect", "typing", "json", "ast", "dis"}), added
 
 

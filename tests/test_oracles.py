@@ -18,6 +18,7 @@ from submultisets import (
     count_upper_constrained,
     core,
     cross_check,
+    enumeration,
     full_table,
     oracles,
 )
@@ -127,11 +128,13 @@ class TestBudget:
     @pytest.mark.parametrize("entry", list(BUDGET_TAKERS))
     def test_invalid_budget_refused(self, monkeypatch, entry, budget):
         ran = []
-        for name in ("count_upper_constrained", "count_dp", "count_brute_force", "iterate"):
+        # count_brute_force imports iterate from enumeration when it runs.
+        for module, name in [(oracles, "count_upper_constrained"), (oracles, "count_dp"),
+                             (oracles, "count_brute_force"), (enumeration, "iterate")]:
             def spy(*args, _name=name, **kwargs):
                 ran.append(_name)
                 raise AssertionError(f"{_name} ran before the budget was checked")
-            monkeypatch.setattr(oracles, name, spy)
+            monkeypatch.setattr(module, name, spy)
         with pytest.raises(ValueError, match="budget"):
             BUDGET_TAKERS[entry](budget)
         assert ran == []
