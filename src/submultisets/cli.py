@@ -6,7 +6,7 @@
     submultisets check     -m 5,9,14 -n 12 [--budget B]
 
 Every subcommand also takes --format text|json|csv (default text).
---budget B (default 10^7) caps the compositions brute force may visit;
+--budget B (default 10^7) caps the estimated steps brute force may take;
 count and check hand it to the library as a plain int, which refuses one
 below 1 as malformed input.
 Results go to stdout, diagnostics to stderr (check notes each skipped method
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = command("check", _run_check, "run all applicable methods and compare")
     for p in (p_count, p_check):
         p.add_argument("--budget", type=nonnegative_int, default=DEFAULT_BUDGET_ITEMS,
-                       help="max compositions the brute method may visit")
+                       help="max estimated steps the brute method may take")
     return parser
 
 

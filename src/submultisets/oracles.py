@@ -1,9 +1,9 @@
 """The brute-force oracle, and the functions that pick or compare methods.
 
 count_brute_force counts the lexicographic stream of compositions
-(exponential, and refused over a budget of candidate vectors, a plain
-positive int). It shares nothing with core's closed form or its DP: it
-counts the instance as given, so it also checks their normalization. count
+(exponential, and refused when an estimate of its steps is over a budget,
+a plain positive int). It shares nothing with core's closed form or its DP:
+it counts the instance as given, so it also checks their normalization. count
 runs one method by its CountMethod, and cross_check runs every method
 through count and reports whether they agree, with brute force skipped,
 not failed, over its budget.
@@ -11,7 +11,7 @@ not failed, over its budget.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import prod
+from math import comb, prod
 
 from .core import (
     CountMethod,
@@ -22,12 +22,12 @@ from .core import (
     count_upper_constrained,
 )
 
-#: Default cap on the compositions the brute-force oracle may visit.
+#: Default cap on the estimated steps of the brute-force oracle.
 DEFAULT_BUDGET_ITEMS = 10_000_000
 
 
 class BudgetExceededError(Exception):
-    """The brute-force oracle would visit more compositions than allowed."""
+    """The brute-force oracle would take more steps than allowed."""
 
 
 def _check_budget(budget: int) -> None:
@@ -42,15 +42,20 @@ def count_brute_force(spec: Iterable[int], n: int, budget: int = DEFAULT_BUDGET_
 
     Counts the items of the iterate stream, a loop with no recursion, so the
     work is proportional to the number of compositions listed. Refuses to
-    start when the instance estimate prod(a_j + 1) exceeds the budget, a
-    positive int (ValueError otherwise).
+    start when the estimate of its steps exceeds the budget, a positive int
+    (ValueError otherwise). The estimate is prod(a_j + 1), the candidate
+    vectors, or when that is over, the smaller of it and
+    k * C(n + k - 1, k - 1): the entries of the compositions of n with no
+    bounds, as the stream writes each composition's k entries.
     """
     _check_budget(budget)
     a = _multiplicities(spec, n)
     estimate = prod(m + 1 for m in a)
+    if estimate > budget:  # k >= 1 here, as the empty product is 1
+        estimate = min(estimate, len(a) * comb(n + len(a) - 1, len(a) - 1))
     if estimate > budget:
         raise BudgetExceededError(
-            f"instance has an estimated {_magnitude(estimate)} compositions, "
+            f"instance has an estimated {_magnitude(estimate)} steps, "
             f"over the budget of {_magnitude(budget)}"
         )
     from .enumeration import iterate  # here, so a count by dp or incexc never loads it

@@ -1,4 +1,5 @@
-"""Closed forms the tests use as an oracle, outside the package's API."""
+"""Closed forms and plain enumerations the tests use as oracles, outside the API."""
+from itertools import product
 from math import comb
 
 
@@ -82,3 +83,12 @@ def suffix_tables_reference(bounds: tuple[int, ...], n: int) -> list[tuple[int, 
         low = max(0, n - sum(bounds[:j]))
         tables.append((low, full[low:min(n, sum(bounds[j:])) + 1]))
     return tables
+
+
+def dumb_list(bounds: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """Every composition of n under bounds, ascending, from the full product."""
+    return sorted(x for x in product(*(range(m + 1) for m in bounds)) if sum(x) == n)
+
+
+def dumb_count(bounds: tuple[int, ...], n: int) -> int:
+    return len(dumb_list(bounds, n))

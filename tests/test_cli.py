@@ -3,15 +3,15 @@ import argparse
 import json
 import subprocess
 import sys
-from collections import OrderedDict
 from math import comb
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import hooks
 from submultisets import AgreementReport, CountMethod
-from submultisets import cli, enumeration
+from submultisets import cli
 from submultisets.cli import main
 
 
@@ -50,6 +50,12 @@ class TestCount:
         value = int(json.loads(out)["count"])
         assert value > 2**63
         assert out == json.dumps({"count": str(value)}) + "\n"
+
+    def test_incexc_at_64_positions(self, capsys):
+        # inclusion-exclusion serves any dimension
+        m = ",".join(["1"] * 64)
+        assert run(capsys, "count", "-m", m, "-n", "3", "--method", "incexc") == \
+            (0, "41664\n", "")
 
 
 class TestCountErrors:
@@ -120,12 +126,6 @@ class TestCountErrors:
                         for action in parser._actions if action.type is not None}
                  for name, parser in commands.items()}
         assert typed == expected
-
-    def test_incexc_capacity_exit(self, capsys):
-        # inclusion-exclusion serves any dimension
-        m = ",".join(["1"] * 64)
-        assert run(capsys, "count", "-m", m, "-n", "3", "--method", "incexc") == \
-            (0, "41664\n", "")
 
     def test_brute_without_recursion_limit(self, capsys):
         m = ",".join(["1"] * 1200)
@@ -211,7 +211,7 @@ class TestEnumerate:
         ("4,0,12,3", 6, ("--start-rank", "5", "--limit", "20")),
         ("7", 3, ()),                         # k = 1
         ("7", 3, ("--start-rank", "1")),      # k = 1, past the end
-        (",".join(["2"] * 40), 3, ("--limit", "300")),  # k = 40, past BLOCKS_MAX_K
+        (",".join(["2"] * 40), 3, ("--limit", "300")),  # k = 40: no tails joined
         (",".join(["2"] * 40), 3, ("--start-rank", "11000", "--limit", "300")),
         ("2,3,3", 5, ("--limit", str(2**64))),  # past sys.maxsize
     ])
@@ -238,20 +238,26 @@ class TestCheck:
         assert (code, out) == (0, "incexc 6\ndp 6\nbrute skipped\nAGREE\n")
 
     def test_brute_refusal_past_the_digit_limit(self, capsys):
-        # 2^15000 compositions, a decimal of 4516 digits: brute force is
-        # skipped with a one-line note, not refused as malformed input.
+        # Over the budget, brute force is skipped with a one-line note, not
+        # refused as malformed input: at n = 2 on an estimate of C(15001, 2)
+        # compositions of 15000 entries, at n = 7500 on 2^15000, a decimal of
+        # 4516 digits.
         m = ",".join(["1"] * 15000)
-        note = ("instance has an estimated 10^4515.4 compositions, over the budget "
-                "of 10000000\n")
+        note = "instance has an estimated {} steps, over the budget of 10000000\n"
         code, out, err = run(capsys, "check", "-m", m, "-n", "2")
         assert (code, out) == (0, "incexc 112492500\ndp 112492500\nbrute skipped\nAGREE\n")
-        assert err == "note: brute skipped: " + note
-        assert run(capsys, "count", "-m", m, "-n", "2", "--method", "brute") == (3, "", "error: " + note)
+        assert err == "note: brute skipped: " + note.format(1687612500000)
+        assert run(capsys, "count", "-m", m, "-n", "7500", "--method", "brute") == \
+            (3, "", "error: " + note.format("10^4515.4"))
 
-    def test_wide_instance_skips_brute(self, capsys):
-        # 2^64 compositions are over the default budget; incexc and dp agree
-        code, out, _ = run(capsys, "check", "-m", ",".join(["1"] * 64), "-n", "3")
-        assert (code, out) == (0, "incexc 41664\ndp 41664\nbrute skipped\nAGREE\n")
+    @pytest.mark.parametrize("k, n, brute", [(64, 3, "41664"), (64, 32, "skipped"), (4000, 2, "skipped")])
+    def test_wide_instance_brute_within_budget(self, capsys, k, n, brute):
+        # k ones: 64 * C(66, 3) entries are within the default budget; 2^64 and
+        # C(95, 32) are not, nor the 4000 entries of each of C(4001, 2)
+        # compositions, so brute force never starts on those.
+        code, out, _ = run(capsys, "check", "-m", ",".join(["1"] * k), "-n", str(n))
+        count = comb(k, n)
+        assert (code, out) == (0, f"incexc {count}\ndp {count}\nbrute {brute}\nAGREE\n")
 
     @pytest.mark.parametrize("fmt,expected", [
         ("text", "incexc 6\ndp 6\nbrute skipped\nAGREE\n"),
@@ -262,8 +268,8 @@ class TestCheck:
         code, out, err = run(capsys, "check", "-m", "5,5", "-n", "5", "--budget", "1",
                              "--format", fmt)
         assert (code, out) == (0, expected)
-        assert err == ("note: brute skipped: instance has an estimated 36 "
-                       "compositions, over the budget of 1\n")
+        assert err == ("note: brute skipped: instance has an estimated 12 "
+                       "steps, over the budget of 1\n")
 
     def test_json_payload(self, capsys):
         # The skipped-brute payload is pinned in test_skip_reason_on_stderr.
@@ -375,18 +381,17 @@ class TestLongCounts:
     # past the lowered limit.
     K = 2132
 
-    def test_start_rank_of_any_size(self, capsys, monkeypatch, digit_limit):
-        monkeypatch.setattr(enumeration, "_kept", OrderedDict())  # drop the tables after
-        monkeypatch.setattr(enumeration, "_held", 0)
+    def test_start_rank_of_any_size(self, capsys, digit_limit):
         total = comb(self.K, self.K // 2)
         argv = ["enumerate", "-m", ",".join(["1"] * self.K), "-n", str(self.K // 2),
                 "--limit", "1", "--start-rank"]
-        started = perf_counter()
-        code, out, err = run(capsys, *argv, in_full(total - 1))
-        elapsed = perf_counter() - started
-        assert (code, out, err) == (0, ",".join(["1"] * (self.K // 2) + ["0"] * (self.K // 2)) + "\n", "")
-        assert elapsed < 0.5
-        assert run(capsys, *argv, in_full(total)) == (0, "", "")  # past the end
+        with hooks.kept_tables():  # drop the tables after
+            started = perf_counter()
+            code, out, err = run(capsys, *argv, in_full(total - 1))
+            elapsed = perf_counter() - started
+            assert (code, out, err) == (0, ",".join(["1"] * (self.K // 2) + ["0"] * (self.K // 2)) + "\n", "")
+            assert elapsed < 0.5
+            assert run(capsys, *argv, in_full(total)) == (0, "", "")  # past the end
         assert sys.get_int_max_str_digits() == digit_limit
 
     @pytest.mark.parametrize("argv", [

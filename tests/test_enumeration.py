@@ -3,15 +3,15 @@ import random
 import sys
 import threading
 import tracemalloc
-from collections import OrderedDict
-from itertools import islice, product
+from itertools import islice
 from time import perf_counter
 
 import pytest
 
-from submultisets import core, count_upper_constrained, enumeration, iterate, rank, unrank
+import hooks
+from submultisets import core, count_upper_constrained, iterate, rank, unrank
 
-from formulas import suffix_tables_reference
+from formulas import dumb_list, suffix_tables_reference
 
 # The nine compositions of 5 under bounds (2, 3, 3), ascending lexicographic;
 # frozen from an independent cartesian-product enumeration.
@@ -22,8 +22,17 @@ NINE = [
 ]
 
 
-def dumb_list(a, n):
-    return sorted(x for x in product(*(range(m + 1) for m in a)) if sum(x) == n)
+def matches_dumb_list(seed, specs, min_k):
+    """The stream, from its start and from each item, on random specs of
+    min_k to 6 bounds up to 4."""
+    rng = random.Random(seed)
+    for _ in range(specs):
+        a = tuple(rng.randint(0, 4) for _ in range(rng.randint(min_k, 6)))
+        n = rng.randint(0, sum(a) + 1)
+        expected = dumb_list(a, n)
+        assert list(iterate(a, n)) == expected
+        for i, x in enumerate(expected):
+            assert list(iterate(a, n, start=x)) == expected[i:]
 
 
 class TestIterate:
@@ -47,15 +56,7 @@ class TestIterate:
         assert list(iterate((0, 2), 1)) == [(0, 1)]
 
     def test_matches_dumb_enumeration(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            k = rng.randint(1, 6)
-            a = tuple(rng.randint(0, 4) for _ in range(k))
-            n = rng.randint(0, sum(a) + 1)
-            expected = dumb_list(a, n)
-            assert list(iterate(a, n)) == expected
-            for i, x in enumerate(expected):
-                assert list(iterate(a, n, start=x)) == expected[i:]
+        matches_dumb_list(99, 200, 1)
 
     def test_stream_is_strictly_increasing_and_valid(self):
         a, n = (3, 2, 4), 6
@@ -89,28 +90,19 @@ class TestIterate:
         assert items[0] == (0,) * 2997 + (1, 1, 1)
 
     @pytest.mark.parametrize("max_k, tail_combinations", [(0, 4096), (32, 1), (32, 3), (32, 30)])
-    def test_every_split_matches_dumb_enumeration(self, monkeypatch, max_k, tail_combinations):
+    def test_every_split_matches_dumb_enumeration(self, max_k, tail_combinations):
         # Plain successor loop (max_k 0) and blocks of every tail length.
-        monkeypatch.setattr(enumeration, "BLOCKS_MAX_K", max_k)
-        monkeypatch.setattr(enumeration, "TAIL_COMBINATIONS", tail_combinations)
-        rng = random.Random(7)
-        for _ in range(60):
-            k = rng.randint(0, 6)
-            a = tuple(rng.randint(0, 4) for _ in range(k))
-            n = rng.randint(0, sum(a) + 1)
-            expected = dumb_list(a, n)
-            assert list(iterate(a, n)) == expected
-            for i, x in enumerate(expected):
-                assert list(iterate(a, n, start=x)) == expected[i:]
+        with hooks.tail_split(max_k, tail_combinations):
+            matches_dumb_list(7, 60, 0)
 
-    def test_wide_spec_matches_blocks(self, monkeypatch):
+    def test_wide_spec_matches_blocks(self):
         a = tuple(random.Random(3).randint(0, 3) for _ in range(40))
         n = sum(a) // 2
         plain = list(islice(iterate(a, n), 3000))
         middle = plain[1234]
-        monkeypatch.setattr(enumeration, "BLOCKS_MAX_K", 40)
-        assert list(islice(iterate(a, n), 3000)) == plain
-        assert list(islice(iterate(a, n, start=middle), 100)) == plain[1234:1334]
+        with hooks.tail_split(40):
+            assert list(islice(iterate(a, n), 3000)) == plain
+            assert list(islice(iterate(a, n, start=middle), 100)) == plain[1234:1334]
         assert all(x < y for x, y in zip(plain, plain[1:]))
 
     def test_negative_n_rejected(self):
@@ -238,7 +230,7 @@ class TestSuffixTables:
         for _ in range(40):
             a = tuple(rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(rng.randint(0, 9)))
             for n in range(sum(a) + 1):
-                tables = enumeration._suffix_tables(a, n)
+                tables = core._suffix_tables(a, n)
                 assert len(tables) == len(a) + 1
                 for j, (low, counts) in enumerate(tables):
                     assert low == max(0, n - sum(a[:j])), (a, n, j)
@@ -251,42 +243,33 @@ class TestSuffixTables:
         for _ in range(60):
             a = tuple(rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(rng.randint(0, 12)))
             for n in range(sum(a) + 1):
-                tables = enumeration._suffix_tables(a, n)
-                assert enumeration._table_cells(a, n) == sum(len(t) for _, t in tables), (a, n)
+                assert core._table_cells(a, n) == sum(len(t) for _, t in core._suffix_tables(a, n)), (a, n)
 
-    def test_folds_each_table_only_up_to_its_middle(self, monkeypatch):
+    def test_folds_each_table_only_up_to_its_middle(self):
         # At n = N // 2 the mirror of every sum above the middle lies in its
         # table's window, so the folds return at most about half the cells.
         rng = random.Random(5)
         a = tuple(rng.choice((0, 1, 3, 6, 9, 12)) for _ in range(48))
         n = sum(a) // 2
-        fold = core._multiply_bounded
-        returned = []
-
-        def counted_fold(*args):
-            out = fold(*args)
-            returned.append(len(out))
-            return out
-
-        monkeypatch.setattr(core, "_multiply_bounded", counted_fold)
-        tables = enumeration._suffix_tables(a, n)
+        with hooks.recorded("_multiply_bounded") as calls:
+            tables = core._suffix_tables(a, n)
+        returned = [len(call.result) for call in calls["_multiply_bounded"]]
         window = sum(len(counts) for _, counts in tables)
         assert returned
         assert sum(returned) <= window / 2 + len(a)
         assert tables == suffix_tables_reference(a, n)
 
-    def test_a_fold_cut_from_below_allocates_only_what_it_keeps(self, monkeypatch):
+    def test_a_fold_cut_from_below_allocates_only_what_it_keeps(self):
         # One bound of 10^6 at n = 5 * 10^5: the table keeps one sum, and
         # its fold, cut below n, must not pad the degrees it drops (a list
         # of 5 * 10^5 ints, about 4 MB, if it did).
-        monkeypatch.setattr(enumeration, "_kept", OrderedDict())
-        monkeypatch.setattr(enumeration, "_held", 0)
-        tracemalloc.start()
-        try:
-            assert unrank((10**6,), 5 * 10**5, 0) == (5 * 10**5,)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with hooks.kept_tables():
+            tracemalloc.start()
+            try:
+                assert unrank((10**6,), 5 * 10**5, 0) == (5 * 10**5,)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 100_000, peak
 
 
@@ -296,23 +279,17 @@ class TestKeptTables:
     check still made on each call."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
-        """The instances _suffix_tables is built for, from an empty store,
-        each with whether the cells kept at that point plus the new ones fit
-        in the cap, or nothing was kept; the test's tables are dropped
-        after it."""
-        monkeypatch.setattr(enumeration, "_kept", OrderedDict())
-        monkeypatch.setattr(enumeration, "_held", 0)
-        build = enumeration._suffix_tables
-        seen = []
+    def kept(self):
+        """The kept tables, from an empty store; the test's are dropped after it."""
+        with hooks.kept_tables() as kept:
+            yield kept
 
-        def spy(a, n):
-            after = enumeration._held + enumeration._table_cells(a, n)
-            seen.append((a, n, not enumeration._kept or after <= enumeration._KEPT_CELLS))
-            return build(a, n)
-
-        monkeypatch.setattr(enumeration, "_suffix_tables", spy)
-        return seen
+    @pytest.fixture
+    def builds(self, kept):
+        """A function listing each instance tables were built for, with whether
+        they fit the cap beside the tables kept at that point, or none were."""
+        with hooks.recorded("_suffix_tables", note=hooks.fits) as calls:
+            yield lambda: [(*call.args, call.note) for call in calls["_suffix_tables"]]
 
     def test_one_build_for_many_calls(self, builds):
         a = tuple(random.Random(4).randint(0, 6) for _ in range(30))
@@ -322,27 +299,27 @@ class TestKeptTables:
         for _ in range(100):
             r = rng.randrange(total)
             assert rank(a, n, unrank(a, n, r)) == r
-        assert builds == [(a, n, True)]
+        assert builds() == [(a, n, True)]
 
-    def test_a_miss_evicts_the_least_recent_before_building(self, builds, monkeypatch):
+    def test_a_miss_evicts_the_least_recent_before_building(self, builds):
         # 9, 9 and 7 cells under a cap of 20: two of them fit, three do not;
         # the ones are 36 cells, over the cap on their own.
-        monkeypatch.setattr(enumeration, "_KEPT_CELLS", 20)
         first, second, third = ((2, 3, 3), 5), ((2, 3, 3), 4), ((4, 4), 4)
         big = ((1,) * 10, 5)
-        assert [enumeration._table_cells(*i) for i in (first, second, third, big)] == [9, 9, 7, 36]
-        for instance, kept in [
-            (first, [first]), (second, [first, second]), (first, [second, first]),
-            (third, [first, third]),  # second, the least recent, is evicted
-            (first, [third, first]), (second, [first, second]), (third, [second, third]),
-            (big, [big]), (big, [big]), (big, [big]),  # kept alone, built once
-            (first, [first]),
-        ]:
-            unrank(*instance, 0)
-            assert list(enumeration._kept) == kept
+        assert [core._table_cells(*i) for i in (first, second, third, big)] == [9, 9, 7, 36]
+        with hooks.kept_tables(20) as store:
+            for instance, expected in [
+                (first, [first]), (second, [first, second]), (first, [second, first]),
+                (third, [first, third]),  # second, the least recent, is evicted
+                (first, [third, first]), (second, [first, second]), (third, [second, third]),
+                (big, [big]), (big, [big]), (big, [big]),  # kept alone, built once
+                (first, [first]),
+            ]:
+                unrank(*instance, 0)
+                assert list(store) == expected
         # A repeat of an evicted instance builds again; every build fit.
-        assert builds == [first + (True,), second + (True,), third + (True,), second + (True,),
-                          third + (True,), big + (True,), first + (True,)]
+        assert builds() == [first + (True,), second + (True,), third + (True,), second + (True,),
+                            third + (True,), big + (True,), first + (True,)]
 
     def test_a_hit_still_checks_every_argument(self, builds):
         a, n = (2, 3, 3), 5
@@ -359,13 +336,13 @@ class TestKeptTables:
             unrank([2, -3, 3], n, 0)
         with pytest.raises(ValueError):
             rank(a, -5, (0, 2, 3))
-        assert len(builds) == 1
+        assert len(builds()) == 1
         with pytest.raises(IndexError, match="only 0 compositions"):
             unrank(a, 9, 0)  # n > N exits before the lookup
-        assert len(builds) == 1
+        assert len(builds()) == 1
         assert unrank(a, n, 8) == NINE[8]
 
-    def test_kept_tables_equal_a_fresh_build(self, builds):
+    def test_kept_tables_equal_a_fresh_build(self, kept):
         a = tuple(random.Random(6).randint(0, 5) for _ in range(12))
         n = sum(a) // 2
         total = count_upper_constrained(a, n)
@@ -373,11 +350,10 @@ class TestKeptTables:
         for _ in range(300):
             x = unrank(list(a), n, rng.randrange(total))
             rank(a, n, x)
-        [key] = enumeration._kept
+        [(key, (cells, tables))] = kept.items()
         assert key == (a, n) and type(key[0]) is tuple
-        cells, tables = enumeration._kept[key]
-        assert tables == enumeration._suffix_tables(a, n) == suffix_tables_reference(a, n)
-        assert cells == enumeration._table_cells(a, n) == sum(len(counts) for _, counts in tables)
+        assert tables == core._suffix_tables(a, n) == suffix_tables_reference(a, n)
+        assert cells == core._table_cells(a, n) == sum(len(counts) for _, counts in tables)
 
     @staticmethod
     def draw_in_threads(instances):
@@ -413,10 +389,8 @@ class TestKeptTables:
         return wrong
 
     @pytest.fixture
-    def three(self, monkeypatch):
+    def three(self, kept):
         """Three instances of 16 bounds, from an empty store."""
-        monkeypatch.setattr(enumeration, "_kept", OrderedDict())
-        monkeypatch.setattr(enumeration, "_held", 0)
         rng = random.Random(12)
         a = tuple(rng.randint(0, 4) for _ in range(16))
         return [(a, sum(a) // 2), (a, sum(a) // 3), (a[::-1], sum(a) // 2)]
@@ -426,21 +400,21 @@ class TestKeptTables:
         # runs, would give a wrong composition or rank.
         assert self.draw_in_threads(three) == []
 
-    def test_threads_evicting_each_other(self, three, monkeypatch):
+    def test_threads_evicting_each_other(self, three):
         # Each instance fits the cap alone and no two fit together, so
         # nearly every draw evicts while other threads look up and build:
         # without the lock, racing evictions would raise KeyError, and
         # overlapping builds would keep more than the cap or leave the
         # running total wrong.
-        cells = [enumeration._table_cells(*instance) for instance in three]
+        cells = [core._table_cells(*instance) for instance in three]
         assert min(cells) * 2 > max(cells)
-        monkeypatch.setattr(enumeration, "_KEPT_CELLS", max(cells))
-        assert self.draw_in_threads(three) == []
-        kept = [cells for cells, _ in enumeration._kept.values()]
-        assert sum(kept) <= max(cells) or len(kept) == 1
-        assert sum(kept) == enumeration._held
+        with hooks.kept_tables(max(cells)) as store:
+            assert self.draw_in_threads(three) == []
+            kept = [cells for cells, _ in store.values()]
+            assert sum(kept) <= max(cells) or len(kept) == 1
+            assert sum(kept) == hooks.held()
 
-    def test_a_miss_does_not_scale_with_the_store(self, monkeypatch):
+    def test_a_miss_does_not_scale_with_the_store(self):
         # Every call is a miss on a new instance. Under a cap of 0 one
         # instance is kept; under the default, thousands, so a miss that
         # walked the kept entries would take several times as long.
@@ -452,16 +426,13 @@ class TestKeptTables:
         instances = sorted(instances)
 
         def misses(cap):
-            monkeypatch.setattr(enumeration, "_KEPT_CELLS", cap)
-            monkeypatch.setattr(enumeration, "_kept", OrderedDict())
-            monkeypatch.setattr(enumeration, "_held", 0)
-            started = perf_counter()
-            for a, n in instances:
-                unrank(a, n, 0)
-            return perf_counter() - started, len(enumeration._kept)
+            with hooks.kept_tables(cap) as store:
+                started = perf_counter()
+                for a, n in instances:
+                    unrank(a, n, 0)
+                return perf_counter() - started, len(store)
 
-        default = enumeration._KEPT_CELLS
-        timings = [misses(cap) for cap in (default, 0, default, 0)]
+        timings = [misses(cap) for cap in (None, 0, None, 0)]  # None: the default cap
         assert timings[0][1] > 500 and timings[1][1] == 1
         ratio = min(timings[0][0], timings[2][0]) / min(timings[1][0], timings[3][0])
         assert ratio < 3, ratio

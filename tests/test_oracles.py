@@ -6,55 +6,38 @@ from math import comb, prod
 
 import pytest
 
+import hooks
 from submultisets import (
     DEFAULT_BUDGET_ITEMS,
     AgreementReport,
     BudgetExceededError,
     CountMethod,
     CountTable,
+    core,
     count,
     count_brute_force,
     count_dp,
     count_upper_constrained,
-    core,
     cross_check,
-    enumeration,
     full_table,
-    oracles,
 )
-from submultisets.core import _by_recurrence
+
+from formulas import dumb_count
 
 WIDE = (50,) * 200
 
 
-def dumb_count(a, n):
-    return sum(1 for x in product(*(range(m + 1) for m in a)) if sum(x) == n)
-
-
-def fold_cells(monkeypatch, entry, *args):
-    """Run entry(*args) with each core._window_fold that it calls
-    recording its products. Returns the result, the length of each fold's
-    bounds, the cells core._multiply_bounded returned, and the cells of the
-    products' windows, which a fold with no mirror would all return."""
-    fold, multiply = core._window_fold, core._multiply_bounded
-    folds, returned, windows = [], [], []
-
-    def recorded_fold(bounds, n, start=None, reach=0):
-        products = []
-        out = fold(bounds, n, start, reach, products)
-        folds.append(len(bounds))
-        windows.extend(len(coeffs) for _, coeffs in products)
-        return out
-
-    def counted(*args):
-        out = multiply(*args)
-        returned.append(len(out))
-        return out
-
-    monkeypatch.setattr(core, "_window_fold", recorded_fold)
-    monkeypatch.setattr(core, "_multiply_bounded", counted)
-    result = entry(*args)
-    return result, folds, sum(returned), sum(windows)
+def fold_cells(entry, *args):
+    """entry(*args), the number of bounds of each window fold it calls, the
+    cells the folds' products returned, and the cells of their windows, which
+    a fold with no mirror would all return (each fold run again lists them)."""
+    with hooks.recorded("_window_fold", "_multiply_bounded") as calls:
+        result = entry(*args)
+    folds, products = calls["_window_fold"], []
+    for call in folds:
+        core._window_fold(*call.args, **call.kwargs, products=products)
+    returned = sum(len(call.result) for call in calls["_multiply_bounded"])
+    return result, [len(call.args[0]) for call in folds], returned, sum(len(c) for _, c in products)
 
 
 class TestBruteForce:
@@ -70,35 +53,41 @@ class TestBruteForce:
         assert count_brute_force(a, n) == expected
 
     def test_budget_refusal_carries_estimate(self):
+        # 36 candidate vectors, but the C(5 + 1, 1) = 6 compositions of 5
+        # have 12 entries.
         with pytest.raises(BudgetExceededError) as excinfo:
             count_brute_force((5, 5), 5, 1)
-        assert "36" in str(excinfo.value)
+        assert str(excinfo.value) == "instance has an estimated 12 steps, over the budget of 1"
 
     def test_refusal_of_a_huge_instance_is_one_short_line(self):
-        # 2^15000 has 4516 digits, past the interpreter's default limit of
-        # 4300 on int -> str conversion: the estimate is a power of ten.
+        # At n = 7500 both bounds on the stream of 15000 ones, 2^15000 and
+        # C(22499, 14999), are past the interpreter's default limit of 4300
+        # digits on int -> str conversion: the estimate is a power of ten.
         ones = (1,) * 15000
-        message = "instance has an estimated 10^4515.4 compositions, over the budget of "
+        message = "instance has an estimated 10^4515.4 steps, over the budget of "
         with pytest.raises(BudgetExceededError, match=r"^" + message.replace("^", r"\^") + "10000000$"):
-            count_brute_force(ones, 2)
+            count_brute_force(ones, 7500)
         with pytest.raises(BudgetExceededError, match=r"budget of 10\^30\.0$"):
-            count_brute_force(ones, 2, 10**30)
+            count_brute_force(ones, 7500, 10**30)
         with pytest.raises(BudgetExceededError, match=r"budget of 99999999999999999999$"):
-            count_brute_force(ones, 2, 10**20 - 1)
+            count_brute_force(ones, 7500, 10**20 - 1)
+        # At n = 2 the stream has at most C(15001, 14999) items of 15000 entries.
         report = cross_check(ones, 2)
-        assert report.skipped == {CountMethod.BRUTE_FORCE: message + "10000000"}
+        assert report.skipped == {CountMethod.BRUTE_FORCE: "instance has an estimated 1687612500000 "
+                                  "steps, over the budget of 10000000"}
         assert report.agree
 
     def test_budget_boundary_is_inclusive(self):
-        # (5, 5) has 36 candidate vectors, at every entry point that takes a budget.
-        assert count_brute_force((5, 5), 5, 36) == 6
-        assert count((5, 5), 5, method="brute", budget=36) == 6
-        assert cross_check((5, 5), 5, 36).values[CountMethod.BRUTE_FORCE] == 6
+        # (5, 5) has 6 compositions of 5 with no bounds, 12 entries, at every
+        # entry point that takes a budget.
+        assert count_brute_force((5, 5), 5, 12) == 6
+        assert count((5, 5), 5, method="brute", budget=12) == 6
+        assert cross_check((5, 5), 5, 12).values[CountMethod.BRUTE_FORCE] == 6
         with pytest.raises(BudgetExceededError):
-            count_brute_force((5, 5), 5, 35)
+            count_brute_force((5, 5), 5, 11)
         with pytest.raises(BudgetExceededError):
-            count((5, 5), 5, method="brute", budget=35)
-        assert CountMethod.BRUTE_FORCE in cross_check((5, 5), 5, 35).skipped
+            count((5, 5), 5, method="brute", budget=11)
+        assert CountMethod.BRUTE_FORCE in cross_check((5, 5), 5, 11).skipped
 
     def test_deep_spec_of_zeros(self):
         assert count_brute_force((0,) * 5000 + (2,), 1) == 1
@@ -126,23 +115,18 @@ class TestBudget:
 
     @pytest.mark.parametrize("budget", [0, -3, True, False, 2.5, "5"])
     @pytest.mark.parametrize("entry", list(BUDGET_TAKERS))
-    def test_invalid_budget_refused(self, monkeypatch, entry, budget):
-        ran = []
-        # count_brute_force imports iterate from enumeration when it runs.
-        for module, name in [(oracles, "count_upper_constrained"), (oracles, "count_dp"),
-                             (oracles, "count_brute_force"), (enumeration, "iterate")]:
-            def spy(*args, _name=name, **kwargs):
-                ran.append(_name)
-                raise AssertionError(f"{_name} ran before the budget was checked")
-            monkeypatch.setattr(module, name, spy)
-        with pytest.raises(ValueError, match="budget"):
-            BUDGET_TAKERS[entry](budget)
-        assert ran == []
+    def test_invalid_budget_refused(self, entry, budget):
+        # Nothing counts before the budget is checked.
+        with hooks.recorded("count_upper_constrained", "count_dp", "count_brute_force",
+                            "iterate") as calls:
+            with pytest.raises(ValueError, match="budget"):
+                BUDGET_TAKERS[entry](budget)
+        assert not any(calls.values())
 
     def test_default_budget(self):
         for entry in (count_brute_force, count, cross_check):
             assert inspect.signature(entry).parameters["budget"].default == DEFAULT_BUDGET_ITEMS
-        # 10^8 candidate vectors are over the default of 10^7.
+        # 10^8 candidate vectors and C(43, 7) compositions are over the default of 10^7.
         with pytest.raises(BudgetExceededError, match=f"budget of {DEFAULT_BUDGET_ITEMS}$"):
             count_brute_force((9,) * 8, 36)
         assert CountMethod.BRUTE_FORCE in cross_check((9,) * 8, 36).skipped
@@ -194,31 +178,26 @@ class TestDp:
     def test_golden_values(self, a, n, expected):
         assert count_dp(a, n) == expected
 
-    def test_gate_routes_only_wide_specs_of_few_distinct_bounds(self, monkeypatch):
-        calls = []
+    def test_gate_routes_only_wide_specs_of_few_distinct_bounds(self):
+        with hooks.recorded("_by_recurrence") as calls:
+            routed = calls["_by_recurrence"]
+            assert count_dp(WIDE, 5000) == count_upper_constrained(WIDE, 5000)
+            assert full_table(WIDE)[5000] == count_upper_constrained(WIDE, 5000)
+            assert [call.args[1] for call in routed] == [5000, 5000]
+            # Few bounds, or many that are mostly distinct, keep the folds.
+            count_dp((2, 3, 3), 5)
+            full_table((5, 9, 14) * 5)
+            count_dp(tuple(range(1, 60)), 800)
+            full_table(tuple(range(1, 60)) * 2)
+            assert [call.args[1] for call in routed] == [5000, 5000]
 
-        def spy(bounds, n):
-            calls.append(n)
-            return _by_recurrence(bounds, n)
-
-        monkeypatch.setattr(core, "_by_recurrence", spy)
-        assert count_dp(WIDE, 5000) == count_upper_constrained(WIDE, 5000)
-        assert full_table(WIDE)[5000] == count_upper_constrained(WIDE, 5000)
-        assert calls == [5000, 5000]
-        # Few bounds, or many that are mostly distinct, keep the folds.
-        count_dp((2, 3, 3), 5)
-        full_table((5, 9, 14) * 5)
-        count_dp(tuple(range(1, 60)), 800)
-        full_table(tuple(range(1, 60)) * 2)
-        assert calls == [5000, 5000]
-
-    def test_folds_each_product_only_up_to_its_middle(self, monkeypatch):
+    def test_folds_each_product_only_up_to_its_middle(self):
         # At n = N // 2 both folds, Q's and R's onto Q, mirror the degrees
         # above each product's middle, so they return about half the cells.
         rng = random.Random(7)
         a = tuple(rng.randint(1, 40) for _ in range(60))
         n = sum(a) // 2
-        value, folds, returned, window = fold_cells(monkeypatch, count_dp, a, n)
+        value, folds, returned, window = fold_cells(count_dp, a, n)
         assert value == count_upper_constrained(a, n)
         assert len(folds) == 2 and min(folds) > 0
         assert returned <= window / 2 + len(a)
@@ -291,13 +270,13 @@ class TestFullTable:
             assert table[len(table) - 1] == 1
             assert sum(table.counts) == prod(m + 1 for m in a)
 
-    def test_folds_each_product_only_up_to_its_middle(self, monkeypatch):
+    def test_folds_each_product_only_up_to_its_middle(self):
         # The table needs degrees up to N // 2 of every product, so one whose
         # total T lies past N // 2 saves only the degrees from T // 2 up to
         # N // 2: over the whole fold about a third of the cells, not half.
         rng = random.Random(7)
         a = tuple(rng.randint(1, 40) for _ in range(60))
-        table, folds, returned, window = fold_cells(monkeypatch, full_table, a)
+        table, folds, returned, window = fold_cells(full_table, a)
         total = sum(a)
         for n in (total // 3, total // 2):
             assert table[n] == table[total - n] == count_upper_constrained(a, n)
@@ -394,7 +373,7 @@ class TestCrossCheck:
         assert report.values[CountMethod.DYNAMIC_PROGRAMMING] == 6
         assert report.agree
 
-    def test_capacity_exclusion_path(self):
+    def test_all_methods_run_at_64_positions(self):
         a = (1,) * 20 + (0,) * 44  # k = 64, but only 2^20 compositions
         report = cross_check(a, 10)
         assert report.values == dict.fromkeys(CountMethod, comb(20, 10))

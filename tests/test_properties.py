@@ -5,8 +5,6 @@ against the other, the shape of the count table, the enumeration stream at
 wide dimension, the rank tables against a full-window reference, and
 rank/unrank against that stream, also when calls on a few instances
 interleave."""
-from collections import OrderedDict
-from contextlib import contextmanager
 from itertools import islice
 from math import prod
 from operator import le
@@ -15,6 +13,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import hooks
 from submultisets import (
     MultisetSpec,
     core,
@@ -23,12 +22,9 @@ from submultisets import (
     count_upper_constrained,
     full_table,
     iterate,
-    enumeration,
     rank,
     unrank,
 )
-from submultisets.core import _by_recurrence, _window_fold
-from submultisets.enumeration import _suffix_tables
 
 from formulas import suffix_tables_reference
 
@@ -116,16 +112,7 @@ def test_recurrence_equals_window_fold_at_every_n(a):
     # Called directly, whatever the gate would pick; the recurrence drops
     # its terms that reach further back than n, so each n is its own call.
     for n in range(sum(a) + 1):
-        assert _by_recurrence(a, n) == _window_fold(sorted(a), n, reach=n)[1]
-
-
-@contextmanager
-def gate_forced(on):
-    """count_dp and full_table take the recurrence (on) or the window folds
-    (off) for every spec, whatever the cost gate says."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_recurrence_pays", lambda bounds, folds: on)
-        yield
+        assert core._by_recurrence(a, n) == core._window_fold(sorted(a), n, reach=n)[1]
 
 
 @st.composite
@@ -156,7 +143,7 @@ def test_routed_count_dp_equals_incexc_at_every_n(a):
             half.append(count_upper_constrained(a, n))
         expected = half[min(n, total - n)] if n <= total else 0
         for on in (True, False):
-            with gate_forced(on):
+            with hooks.gate_forced(on):
                 assert count_dp(a, n) == expected
 
 
@@ -167,7 +154,7 @@ def test_full_table_sums_to_the_number_of_sub_multisets(a, data):
     # prod(a_j + 1) and matching inclusion-exclusion at sampled n.
     tables = []
     for on in (True, False):
-        with gate_forced(on):
+        with hooks.gate_forced(on):
             tables.append(full_table(a).counts)
     assert tables[0] == tables[1] == full_table(a).counts
     assert sum(tables[0]) == prod(m + 1 for m in a)
@@ -201,7 +188,7 @@ def test_suffix_tables_equal_the_full_window_reference(a, odd, data):
     picks = {total // 2, (total + 1) // 2, total // 3, total - total // 3,
              data.draw(st.integers(0, total))}
     for n in picks:
-        assert _suffix_tables(a, n) == suffix_tables_reference(a, n)
+        assert core._suffix_tables(a, n) == suffix_tables_reference(a, n)
 
 
 @settings(deadline=None, max_examples=20)
@@ -275,11 +262,8 @@ def test_interleaved_rank_unrank_match_the_stream(a, b, data):
     n = data.draw(st.integers(0, min(sum(a), sum(b))))
     instances = [(a, n), (a, data.draw(st.integers(0, sum(a)))), (b, n)]
     streams = [list(iterate(spec, m)) for spec, m in instances]
-    cap = data.draw(st.integers(1, sum(enumeration._table_cells(*i) for i in instances)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumeration, "_KEPT_CELLS", cap)
-        mp.setattr(enumeration, "_kept", OrderedDict())
-        mp.setattr(enumeration, "_held", 0)
+    cap = data.draw(st.integers(1, sum(core._table_cells(*i) for i in instances)))
+    with hooks.kept_tables(cap) as kept:
         for _ in range(data.draw(st.integers(1, 12))):
             i = data.draw(st.integers(0, 2))
             spec, m = instances[i]
@@ -289,10 +273,9 @@ def test_interleaved_rank_unrank_match_the_stream(a, b, data):
                 assert unrank(given_as, m, r) == streams[i][r]
             else:
                 assert rank(given_as, m, streams[i][r]) == r
-            kept = enumeration._kept
             assert list(kept)[-1] == (spec, m)
             held = sum(cells for cells, _ in kept.values())
-            assert held == enumeration._held
+            assert held == hooks.held()
             assert held <= cap or len(kept) == 1
             for key, (cells, tables) in kept.items():
                 assert tables == suffix_tables_reference(*key)
