@@ -17,9 +17,9 @@ _recurrence_pays picks. The rank tables enumeration walks are the products
 _window_fold records: _suffix_tables builds them, and _table_cells counts
 their cells from the same window without building them. The input gate
 _multiplicities, which every entry point calls first, MultisetSpec, a tuple
-that has passed it, and _magnitude, which writes a caller's int of any size
-into a message as one short line, are here too. Everything here is a pure
-function of its arguments.
+that has passed it, _require_int, the package's one integer check, and
+_magnitude, which writes a caller's int of any size into a message as one
+short line, are here too. Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -40,10 +40,14 @@ def _magnitude(value: object) -> str:
     return f"{'-' if value < 0 else ''}10^{log10(abs(value)):.1f}"
 
 
-def _is_int(value: object) -> bool:
-    """True for an int that is not a bool: bool is an int subclass but no
-    count. The exact-type test first keeps the common case one comparison."""
-    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+def _require_int(value: object, what: str, least: int = 0) -> None:
+    """Refuse, with the one ValueError for an integer argument, a value that
+    is not an int of at least least (0, or 1 for a budget). A bool is an int
+    subclass but no count; any other int subclass passes. The exact-type
+    test first keeps the common case one comparison before the bound."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, int)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{what} must be a {kind} integer, got {_magnitude(value)}")
 
 
 class MultisetSpec(tuple):
@@ -83,14 +87,9 @@ def _multiplicities(spec: Iterable[int], n: int) -> tuple[int, ...]:
     a = tuple(spec)
     if type(spec) is not MultisetSpec:
         for m in a:
-            if type(m) is not int and not _is_int(m):  # no call for an int
-                raise ValueError(f"multiplicity must be an integer, got {_magnitude(m)}")
-            if m < 0:
-                raise ValueError(f"multiplicity must be non-negative, got {_magnitude(m)}")
-    if not _is_int(n):
-        raise ValueError(f"n must be an integer, got {_magnitude(n)}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {_magnitude(n)}")
+            if type(m) is not int or m < 0:  # no call for a valid int
+                _require_int(m, "multiplicity")
+    _require_int(n, "n")
     return a
 
 

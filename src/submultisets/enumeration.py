@@ -25,7 +25,7 @@ from itertools import accumulate, chain, product
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
 
-from .core import _is_int, _magnitude, _multiplicities, _suffix_tables, _table_cells
+from .core import _magnitude, _multiplicities, _require_int, _suffix_tables, _table_cells
 
 Composition = tuple[int, ...]
 
@@ -94,8 +94,8 @@ def _validated(a: tuple[int, ...], n: int, x: Sequence[int]) -> Composition:
     if len(x) != len(a):
         raise ValueError(f"composition has {len(x)} entries, spec has {len(a)}")
     for j, (v, bound) in enumerate(zip(x, a)):
-        if not _is_int(v) or v < 0:
-            raise ValueError(f"entry {j} must be a non-negative integer, got {_magnitude(v)}")
+        if type(v) is not int or v < 0:  # no call for a valid int
+            _require_int(v, f"entry {j}")
         if v > bound:
             raise ValueError(f"entry {j} is {_magnitude(v)}, over its bound {_magnitude(bound)}")
     total = sum(x)
@@ -226,8 +226,7 @@ def unrank(spec: Iterable[int], n: int, r: int) -> Composition:
     tables it shares with rank, kept while the instance is a recent one.
     """
     a = _multiplicities(spec, n)
-    if not _is_int(r) or r < 0:
-        raise ValueError(f"rank must be a non-negative integer, got {_magnitude(r)}")
+    _require_int(r, "rank")
     if n > sum(a):  # no composition, and no table reaches n
         raise IndexError(f"rank {_magnitude(r)} out of range, only 0 compositions")
     tables = _tables_for(a, n)

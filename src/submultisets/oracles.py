@@ -11,13 +11,13 @@ not failed, over its budget.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import comb, prod
+from math import comb
 
 from .core import (
     CountMethod,
-    _is_int,
     _magnitude,
     _multiplicities,
+    _require_int,
     count_dp,
     count_upper_constrained,
 )
@@ -28,13 +28,6 @@ DEFAULT_BUDGET_ITEMS = 10_000_000
 
 class BudgetExceededError(Exception):
     """The brute-force oracle would take more steps than allowed."""
-
-
-def _check_budget(budget: int) -> None:
-    """Refuse, with ValueError, a budget that is not a positive int (a bool
-    is no count)."""
-    if not _is_int(budget) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {_magnitude(budget)}")
 
 
 def count_brute_force(spec: Iterable[int], n: int, budget: int = DEFAULT_BUDGET_ITEMS) -> int:
@@ -48,11 +41,16 @@ def count_brute_force(spec: Iterable[int], n: int, budget: int = DEFAULT_BUDGET_
     k * C(n + k - 1, k - 1): the entries of the compositions of n with no
     bounds, as the stream writes each composition's k entries.
     """
-    _check_budget(budget)
+    _require_int(budget, "budget", 1)
     a = _multiplicities(spec, n)
-    estimate = prod(m + 1 for m in a)
-    if estimate > budget:  # k >= 1 here, as the empty product is 1
-        estimate = min(estimate, len(a) * comb(n + len(a) - 1, len(a) - 1))
+    estimate, bound = 1, None
+    for m in a:  # prod(a_j + 1), multiplied out only until past the budget and bound
+        estimate *= m + 1
+        if estimate > budget:  # k >= 1 here, as the empty product is 1
+            bound = bound or len(a) * comb(n + len(a) - 1, len(a) - 1)
+            if estimate >= bound:
+                estimate = bound
+                break
     if estimate > budget:
         raise BudgetExceededError(
             f"instance has an estimated {_magnitude(estimate)} steps, "
@@ -85,8 +83,11 @@ def count(
     a CountMethod member or its value ("incexc", "dp", "brute"); any other
     method raises ValueError. budget caps brute force; whatever the method,
     it must be a positive int, or ValueError is raised."""
-    _check_budget(budget)
-    method = CountMethod(method)
+    _require_int(budget, "budget", 1)
+    try:
+        method = CountMethod(method)
+    except ValueError:
+        raise ValueError(f"method must be one of incexc, dp, brute, got {_magnitude(method)}") from None
     if method is CountMethod.INCLUSION_EXCLUSION:
         return count_upper_constrained(spec, n)
     if method is CountMethod.BRUTE_FORCE:
@@ -103,7 +104,7 @@ def cross_check(spec: Iterable[int], n: int, budget: int = DEFAULT_BUDGET_ITEMS)
     the report's agree flag covers the methods that actually ran. An invalid
     budget is refused with ValueError before any method runs.
     """
-    _check_budget(budget)
+    _require_int(budget, "budget", 1)
     a = _multiplicities(spec, n)
     values: dict[CountMethod, int] = {}
     skipped: dict[CountMethod, str] = {}

@@ -108,20 +108,40 @@ INSTANCE_TAKERS = {
 }
 
 
+# Every integer argument of the library at every entry point that takes it,
+# as (what the message calls it, its least value, a call with value v in it).
+INT_ARGUMENTS = [
+    *[pytest.param("multiplicity", 0, lambda v, take=take: take((2, v, 3), 5), id=f"multiplicity-{entry}")
+      for entry, take in INSTANCE_TAKERS.items()],
+    *[pytest.param("n", 0, lambda v, take=take: take((2, 3, 3), v), id=f"n-{entry}")
+      for entry, take in INSTANCE_TAKERS.items() if entry != "full_table"],
+    pytest.param("entry 0", 0, lambda v: rank((2, 3, 3), 5, (v, 3, 2)), id="entry-rank"),
+    pytest.param("entry 0", 0, lambda v: iterate((2, 3, 3), 5, start=(v, 3, 2)), id="entry-iterate"),
+    pytest.param("rank", 0, lambda v: unrank((2, 3, 3), 5, v), id="rank-unrank"),
+    pytest.param("budget", 1, lambda v: count((2, 3, 3), 5, budget=v), id="budget-count"),
+    pytest.param("budget", 1, lambda v: cross_check((2, 3, 3), 5, v), id="budget-cross_check"),
+    pytest.param("budget", 1, lambda v: count_brute_force((2, 3, 3), 5, v), id="budget-count_brute_force"),
+]
+
+
 class TestInputGate:
     """Every entry point validates its instance in one gate, takes the spec
     in any form, reads it once and hands its kernels exact tuples."""
 
+    @pytest.mark.parametrize("what, least, call", INT_ARGUMENTS)
+    def test_every_integer_argument_has_one_refusal(self, what, least, call):
+        # One rule and one message: an int, not a bool, of at least least.
+        kind = "positive" if least else "non-negative"
+        refused = [(True, "True"), (-1, "-1"), (1.5, "1.5"), (1.0, "1.0"), (2.0, "2.0"),
+                   ("1", "'1'"), (-10**5000, "-10^5000.0")] + [(0, "0")] * least
+        for value, shown in refused:
+            with pytest.raises(ValueError) as info:
+                call(value)
+            assert str(info.value) == f"{what} must be a {kind} integer, got {shown}"
+
     @pytest.mark.parametrize("entry", list(INSTANCE_TAKERS))
     def test_every_entry_point_shares_the_gate(self, entry):
         take = INSTANCE_TAKERS[entry]
-        for bad in [(1, True), (1, -1), (1, 2.0), ("1",)]:
-            with pytest.raises(ValueError, match="multiplicity"):
-                take(bad, 5)
-        if entry != "full_table":
-            for bad in [True, -1, 1.0]:
-                with pytest.raises(ValueError, match="n must"):
-                    take((2, 3, 3), bad)
         forms = [[2, 3, 3], (2, 3, 3), MultisetSpec((2, 3, 3)), iter([2, 3, 3])]
         results = [take(spec, 5) for spec in forms]
         assert all(result == results[0] for result in results), results

@@ -1,6 +1,7 @@
 """Brute-force and DP oracles, tabulation and cross-checking."""
 import inspect
 import random
+import time
 from itertools import permutations, product
 from math import comb, prod
 
@@ -88,6 +89,14 @@ class TestBruteForce:
         with pytest.raises(BudgetExceededError):
             count((5, 5), 5, method="brute", budget=11)
         assert CountMethod.BRUTE_FORCE in cross_check((5, 5), 5, 11).skipped
+
+    def test_wide_instance_of_large_bounds_is_refused_at_once(self):
+        # prod(a_j + 1) is 10^900000 here; only its first factors are taken.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as excinfo:
+            count_brute_force((10**9,) * 10**5, 5)
+        assert time.perf_counter() - start < 1
+        assert str(excinfo.value) == "instance has an estimated 10^27.9 steps, over the budget of 10000000"
 
     def test_deep_spec_of_zeros(self):
         assert count_brute_force((0,) * 5000 + (2,), 1) == 1
@@ -309,8 +318,9 @@ class TestMethodDispatch:
 
     @pytest.mark.parametrize("method", [None, "x", "DYNAMIC_PROGRAMMING"])
     def test_unknown_method_rejected(self, method):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             count((2, 3, 3), 5, method=method)
+        assert str(info.value) == f"method must be one of incexc, dp, brute, got {method!r}"
 
 
 class TestSympyExpansion:
