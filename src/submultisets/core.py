@@ -10,10 +10,13 @@ by inclusion-exclusion over the set of violated upper bounds, summed by the
 weight of each set so that the cost is polynomial in k and n. count_dp takes
 the count as the coefficient of x^n in the product of the factors
 1 + x + ... + x^m, and full_table takes every coefficient. Both share with
-the closed form only _normalized, which reduces an instance to one with the
-same count and n <= N/2. The product comes from _window_fold, the one fold,
-or from _by_recurrence, a linear recurrence, as the one cost gate
-_recurrence_pays picks. The rank tables enumeration walks are the products
+the closed form _normalized, which reduces an instance to one with the same
+count and n <= N/2. The product comes from _window_fold, the one fold, or
+from _by_recurrence, a linear recurrence, as the one cost gate
+_recurrence_pays picks. _signed_weights is the one expansion of the product
+of the factors 1 - x^{m + 1}: the closed form sums it by weight over every
+bound, and the recurrence takes its coefficients from it over the distinct
+bounds. The rank tables enumeration walks are the products
 _window_fold records: _suffix_tables builds them, and _table_cells counts
 their cells from the same window without building them. The input gate
 _multiplicities, which every entry point calls first, MultisetSpec, a tuple
@@ -111,6 +114,26 @@ def _normalized(a: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int] | Non
     return tuple([m if m < n else n for m in a if m]), n
 
 
+def _signed_weights(bounds: Iterable[int], limit: int) -> dict[int, int]:
+    """The product of the factors 1 - x^{m + 1} over bounds, truncated at
+    degree limit, as {degree: coefficient}: the coefficient of x^e is the
+    signed number of sets L of bounds of weight e, the sum of m + 1 over L,
+    each set counted (-1)^|L|.
+
+    Built one factor at a time; the snapshot keeps each step on the old
+    terms. Every weight up to limit that some set has is a key, zero
+    coefficients included, where the sets of that weight cancel.
+    """
+    terms = {0: 1}
+    for m in bounds:
+        d = m + 1
+        top = limit - d
+        for e, t in list(terms.items()):
+            if e <= top:
+                terms[e + d] = terms.get(e + d, 0) - t
+    return terms
+
+
 def count_upper_constrained(spec: Iterable[int], n: int) -> int:
     """Number of sub-multisets of cardinality n, i.e. of vectors with
     sum n and 0 <= x_j <= a_j.
@@ -124,10 +147,10 @@ def count_upper_constrained(spec: Iterable[int], n: int) -> int:
     the unconstrained count of vectors forced past the bounds in L, where
     e = sum of (a_j + 1) over L. Subsets of equal weight e share their term,
     and the signed number of subsets of each weight is the coefficient of
-    x^e in the product of (1 - x^{a_j + 1}), truncated at degree n. So the
-    sum has at most min(n + 1, 2^k) terms and serves any k. It is
-    accumulated exactly and must come out non-negative; anything else is an
-    internal bug, not a valid outcome.
+    x^e in the product of (1 - x^{a_j + 1}) over every bound, truncated at
+    degree n: _signed_weights(a, n). So the sum has at most min(n + 1, 2^k)
+    terms and serves any k. It is accumulated exactly and must come out
+    non-negative; anything else is an internal bug, not a valid outcome.
     """
     instance = _normalized(_multiplicities(spec, n), n)
     if instance is None:
@@ -137,18 +160,9 @@ def count_upper_constrained(spec: Iterable[int], n: int) -> int:
     if k == 0:
         return 1  # n = 0: only the empty sub-multiset
 
-    # terms[e] = signed number of subsets L of weight e, built one factor
-    # (1 - x^d) at a time; the snapshot keeps each step on the old terms.
-    terms = {0: 1}
-    for m in a:
-        d = m + 1
-        limit = n - d
-        for e, t in list(terms.items()):
-            if e <= limit:
-                terms[e + d] = terms.get(e + d, 0) - t
     choose = k - 1
     base = n + k - 1
-    total = sum(t * comb(base - e, choose) for e, t in terms.items())
+    total = sum(t * comb(base - e, choose) for e, t in _signed_weights(a, n).items())
     if total < 0:
         raise RuntimeError(
             f"internal error: inclusion-exclusion sum ended negative "
@@ -270,10 +284,13 @@ def _by_recurrence(bounds: Sequence[int], n: int) -> list[int]:
 
     P = prod_j (1 - x^{a_j + 1}) / (1 - x)^k is D-finite (Stanley,
     "Differentiably finite power series", 1980): with c_d the number of
-    bounds equal to d, k = sum c_d, F = prod_d (1 - x^{d + 1}) over the
-    distinct nonzero bounds and H = sum_d c_d (d + 1) x^d F / (1 - x^{d + 1}),
-    its log-derivative gives (1 - x) F P' = [k F - (1 - x) H] P. Comparing
-    the coefficients of x^s gives
+    bounds equal to d, k = sum c_d, F = prod_d (1 - x^{d + 1}) over the set D
+    of distinct nonzero bounds and H = sum_d c_d (d + 1) x^d F / (1 - x^{d + 1}),
+    where F / (1 - x^{d + 1}) is the same product over D without d, its
+    log-derivative gives (1 - x) F P' = [k F - (1 - x) H] P. So F and each
+    term of H are expansions by _signed_weights, the one that
+    count_upper_constrained sums over every bound. Comparing the
+    coefficients of x^s gives
 
         (s + 1) p_{s+1} = sum_{j >= 1} (alpha_j + beta_j s) p_{s+1-j},
 
@@ -289,20 +306,19 @@ def _by_recurrence(bounds: Sequence[int], n: int) -> list[int]:
         if m:
             counts[m] = counts.get(m, 0) + 1
 
-    def add(out: dict[int, int], poly: dict[int, int], shift: int, scale: int) -> dict[int, int]:
-        """out + scale x^shift poly, polynomials as {degree: coefficient}."""
-        for i, v in poly.items():
-            out[i + shift] = out.get(i + shift, 0) + scale * v
-        return out
-
-    # F and H one distinct bound at a time, H by the product rule.
-    f: dict[int, int] = {0: 1}
+    # F and each term of H, cut at degree n, the highest the terms read.
+    f = _signed_weights(counts, n)
     h: dict[int, int] = {}
     for d, c in counts.items():
-        f, h = add(dict(f), f, d + 1, -1), add(add(dict(h), h, d + 1, -1), f, d, c * (d + 1))
+        for e, t in _signed_weights([b for b in counts if b != d], n - d).items():
+            h[e + d] = h.get(e + d, 0) + c * (d + 1) * t
     k = sum(counts.values())
     terms = []
-    for j in range(1, min(n, max(f) + 1) + 1):  # H has degree max(f) - 1
+    # Cut F and H are safe only because j runs over F's keys: every weight
+    # up to n of a set of D is one, zero coefficients included, and a term of
+    # H at degree i < n comes from a set of weight i + 1 (its d added), so j
+    # up to max(f) + 1 reaches every term below degree n.
+    for j in range(1, min(n, max(f) + 1) + 1):
         slope = f.get(j - 1, 0) - f.get(j, 0)
         const = k * f.get(j - 1, 0) - h.get(j - 1, 0) + h.get(j - 2, 0) - (j - 1) * slope
         if const or slope:

@@ -87,7 +87,8 @@ def count(
     try:
         method = CountMethod(method)
     except ValueError:
-        raise ValueError(f"method must be one of incexc, dp, brute, got {_magnitude(method)}") from None
+        names = ", ".join(m.value for m in CountMethod)
+        raise ValueError(f"method must be one of {names}, got {_magnitude(method)}") from None
     if method is CountMethod.INCLUSION_EXCLUSION:
         return count_upper_constrained(spec, n)
     if method is CountMethod.BRUTE_FORCE:

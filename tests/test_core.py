@@ -10,6 +10,7 @@ import hooks
 from submultisets import (
     CountMethod,
     MultisetSpec,
+    core,
     count,
     count_brute_force,
     count_dp,
@@ -274,6 +275,37 @@ class TestCountUpperConstrained:
         for a in product(range(4), repeat=3):
             for n in range(sum(a) + 2):
                 assert count_upper_constrained(a, n) == dumb_count(a, n), (a, n)
+
+    def test_paper_formula_set_by_set(self):
+        # The paper's inclusion-exclusion, one term per set L of violated
+        # bounds: the vectors with x_j >= a_j + 1 on L and x_j >= 0 elsewhere,
+        # signed (-1)^|L|. The code sums the same terms by weight instead.
+        for k in range(1, 5):
+            for a in product(range(4), repeat=k):
+                for n in range(sum(a) + 2):
+                    expected = sum(
+                        (-1) ** sum(chosen)
+                        * count_lower_constrained(tuple(m + 1 if c else 0 for m, c in zip(a, chosen)), n)
+                        for chosen in product((0, 1), repeat=k)
+                    )
+                    assert count_upper_constrained(a, n) == expected, (a, n)
+
+    @pytest.mark.parametrize("bounds", [(), (0,), (4,), (2, 2), (1, 1, 1), (0, 1, 2), (3, 1, 3, 0), (1, 2, 2, 5)])
+    def test_signed_weights_tally_the_sets(self, bounds):
+        # Every weight up to the limit that some set of bounds has is a key,
+        # even where its sets cancel (bounds 0, 1, 2 at weight 3), and the
+        # nonzero coefficients are the signed tally of the sets by weight.
+        full = sum(m + 1 for m in bounds)
+        for limit in range(full + 1):
+            tally = {}
+            for chosen in product((0, 1), repeat=len(bounds)):
+                weight = sum(m + 1 for m, c in zip(bounds, chosen) if c)
+                if weight <= limit:
+                    tally[weight] = tally.get(weight, 0) + (-1) ** sum(chosen)
+            weights = core._signed_weights(bounds, limit)
+            assert set(weights) == set(tally), (bounds, limit)
+            nonzero = {e: t for e, t in weights.items() if t}
+            assert nonzero == {e: t for e, t in tally.items() if t}, (bounds, limit)
 
     def test_any_dimension_is_answered(self):
         # The weight sum has no dimension cap: k = 64 and beyond are answered.

@@ -42,7 +42,8 @@ def test_modules_are_layered():
     assert set(enumeration) == {"core"}
     oracles = package_imports("oracles")
     assert set(oracles) == {"core", "enumeration"}
-    kernels = {"_window_fold", "_multiply_bounded", "_by_recurrence", "_recurrence_pays", "_normalized"}
+    kernels = {"_window_fold", "_multiply_bounded", "_by_recurrence", "_recurrence_pays", "_normalized",
+               "_signed_weights"}
     for module, names in [("enumeration", enumeration["core"]), ("oracles", oracles["core"])]:
         assert names.isdisjoint(kernels), (module, names & kernels)
 
